@@ -355,12 +355,10 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
     // second ECO pass pulls back anything that turned critical anyway.
     if (!ckpt.done(flow::Stage::Rebalance)) {
       {
-        const auto routes = route::route_design(d, {opt.pool});
         sta::StaOptions sopt;
         sopt.pool = opt.pool;
         sopt.corners = opt.sta_corners;
-        const auto timing = sta::run_sta(d, &routes, sopt);
-        part::rebalance_to_top(d, timing, 0.05 * d.clock_period_ns(),
+        part::rebalance_to_top(d, 0.05 * d.clock_period_ns(),
                                opt.utilization, opt.pool, sopt);
       }
       place::rescale_to_utilization(d, opt.utilization);

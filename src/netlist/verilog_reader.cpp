@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace m3d::netlist {
 
@@ -91,11 +92,17 @@ bool parse_std_type(const std::string& type, tech::CellFunc* func,
   for (int f = 0; f <= static_cast<int>(tech::CellFunc::Dff); ++f) {
     if (fname == tech::func_name(static_cast<tech::CellFunc>(f))) {
       *func = static_cast<tech::CellFunc>(f);
-      *drive = std::stoi(dstr);
+      *drive = util::parse_number<int>(dstr, "drive strength");
       return true;
     }
   }
   return false;
+}
+
+/// Pin index of an `An` / `Zn` connection name.
+int pin_index(const std::string& pin) {
+  return util::parse_number<int>(std::string_view(pin).substr(1),
+                                 "pin index in '" + pin + "'");
 }
 
 class Reader {
@@ -219,11 +226,11 @@ class Reader {
       if (pin == "CK") {
         nl.connect(net_of(net), nl.clock_pin(c));
       } else if (pin[0] == 'A') {
-        nl.connect(net_of(net), nl.input_pin(c, std::stoi(pin.substr(1))));
+        nl.connect(net_of(net), nl.input_pin(c, pin_index(pin)));
       } else if (pin == "Z") {
         nl.connect(net_of(net), nl.output_pin(c, 0));
       } else if (pin[0] == 'Z') {
-        nl.connect(net_of(net), nl.output_pin(c, std::stoi(pin.substr(1))));
+        nl.connect(net_of(net), nl.output_pin(c, pin_index(pin)));
       } else {
         M3D_CHECK_MSG(false, "unknown pin '" << pin << "' on " << inst);
       }

@@ -227,10 +227,12 @@ int fix_max_transition(Design& d, const sta::StaResult& timing,
                        double max_tran_fo4) {
   int changed = 0;
   auto& nl = d.nl();
-  // Per-tier slew limits derived from each library's own speed.
-  double limit[2] = {0.0, 0.0};
+  // Per-tier slew limits derived from each library's own speed, one per
+  // tier of the stack (explicit stacks may have more than two).
+  std::vector<double> limit(static_cast<std::size_t>(d.num_tiers()));
   for (int t = 0; t < d.num_tiers(); ++t)
-    limit[t] = max_tran_fo4 * tech::fo4_delay_ns(d.lib(t));
+    limit[static_cast<std::size_t>(t)] =
+        max_tran_fo4 * tech::fo4_delay_ns(d.lib(t));
   for (NetId n = 0; n < nl.net_count(); ++n) {
     const auto& net = nl.net(n);
     if (net.is_clock || net.driver == kInvalidId) continue;
@@ -238,7 +240,7 @@ int fix_max_transition(Design& d, const sta::StaResult& timing,
     nl.for_each_sink(n,
                      [&](PinId s) { worst = std::max(worst, timing.pin_slew(s)); });
     const CellId drv = nl.pin(net.driver).cell;
-    if (worst <= limit[d.tier(drv)]) continue;
+    if (worst <= limit[static_cast<std::size_t>(d.tier(drv))]) continue;
     if (!sizable(d, drv)) continue;
     const int up = next_drive_up(d, drv);
     if (up < 0) continue;
@@ -265,12 +267,6 @@ int recover_power(Design& d, const sta::StaResult& timing,
 
 OptResult optimize_timing(Design& d, const OptOptions& opt) {
   OptResult res;
-  auto time_design = [&] {
-    if (!opt.routed) return sta::run_sta(d, nullptr, opt.sta);
-    const auto routes = route::route_design(d, {opt.sta.pool});
-    return sta::run_sta(d, &routes, opt.sta);
-  };
-
   res.buffers_added = insert_fanout_buffers(d, opt.max_fanout,
                                             opt.buffer_drive);
   // Repeaters only make sense once positions exist (post-placement).
@@ -278,7 +274,14 @@ OptResult optimize_timing(Design& d, const OptOptions& opt) {
     res.buffers_added +=
         insert_wire_repeaters(d, opt.max_wire_um, opt.buffer_drive);
 
-  sta::StaResult timing = time_design();
+  // Topology and placement are final from here on: sizing changes drives
+  // only, which move neither positions, tiers nor nets. One route
+  // estimate and one timing graph therefore serve every round; each
+  // run() re-reads the resized cells' library views.
+  route::RoutingEstimate routes;
+  if (opt.routed) routes = route::route_design(d, {opt.sta.pool});
+  sta::Sta sta(d, opt.routed ? &routes : nullptr, opt.sta);
+  const sta::StaResult& timing = sta.run();
   res.wns_before = timing.wns();
 
   for (int round = 0; round < opt.max_sizing_rounds; ++round) {
@@ -287,7 +290,7 @@ OptResult optimize_timing(Design& d, const OptOptions& opt) {
       changed += upsize_critical(d, timing, opt.target_slack_ns);
     res.cells_upsized += changed;
     if (changed == 0) break;
-    timing = time_design();
+    sta.run();
     util::log_debug("sizing round ", round, ": ", changed,
                     " upsized, wns=", timing.wns());
   }
@@ -298,12 +301,12 @@ OptResult optimize_timing(Design& d, const OptOptions& opt) {
     const int changed = recover_power(d, timing, recovery_threshold);
     res.cells_downsized += changed;
     if (changed == 0) break;
-    timing = time_design();
+    sta.run();
     // Downsizing must never break timing it was told to preserve; if it
     // did (shared nets shifted), one upsizing round repairs it.
     if (timing.wns() < res.wns_before) {
       upsize_critical(d, timing, opt.target_slack_ns);
-      timing = time_design();
+      sta.run();
     }
   }
 

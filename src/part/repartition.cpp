@@ -60,8 +60,7 @@ double tier_unbalance(const Design& d) {
   return total > 0.0 ? std::abs(top - bottom) / total : 0.0;
 }
 
-int rebalance_to_top(Design& d, const sta::StaResult& timing,
-                     double min_slack_ns, double utilization,
+int rebalance_to_top(Design& d, double min_slack_ns, double utilization,
                      exec::Pool* pool, const sta::StaOptions& sta_opt) {
   M3D_CHECK(d.num_tiers() == 2);
   auto tier_req = [&](int tier) {
@@ -72,6 +71,16 @@ int rebalance_to_top(Design& d, const sta::StaResult& timing,
     return d.tier_std_cell_area(tier) / utilization + macro * 1.05;
   };
 
+  // One route estimate and one Sta serve the whole migration: the first
+  // run() ranks the candidates, and every batch after it is verified
+  // incrementally — only the moved cells' cones (plus their re-estimated
+  // incident nets) are re-propagated.
+  const route::RouteOptions ropt{pool};
+  route::RoutingEstimate routes = route::route_design(d, ropt);
+  sta::Sta sta(d, &routes, sta_opt);
+  const sta::StaResult& timing = sta.run();
+  const double wns_start = timing.guard_wns();
+
   // Candidates: bottom-tier std cells, most slack first.
   exec::Pool& pl = pool != nullptr ? *pool : exec::Pool::global();
   const std::vector<std::pair<double, CellId>> cands = bottom_slack_cands(
@@ -81,17 +90,12 @@ int rebalance_to_top(Design& d, const sta::StaResult& timing,
 
   // Batch-verified migration: move a slack-ordered batch, re-time, undo the
   // batch if WNS degraded (the 12T→9T remap costs ~2× per stage, so the
-  // slack filter alone is not a safety proof). Re-timing is incremental:
-  // one Sta instance persists across batches and only the moved cells'
-  // cones (plus their re-estimated incident nets) are re-propagated.
-  // Accept/undo decisions run on the guard-banded WNS: the worst corner
-  // of a multi-corner spec, or exactly the nominal WNS when sta_opt is
-  // single-corner (guard_wns() == wns() bitwise at K = 1).
-  route::RoutingEstimate routes = route::route_design(d);
-  sta::Sta sta(d, &routes, sta_opt);
-  const double wns_start = sta.run().guard_wns();
+  // slack filter alone is not a safety proof). Accept/undo decisions run
+  // on the guard-banded WNS: the worst corner of a multi-corner spec, or
+  // exactly the nominal WNS when sta_opt is single-corner (guard_wns() ==
+  // wns() bitwise at K = 1).
   auto retime_moved = [&](const std::vector<CellId>& moved_cells) {
-    route::update_routes_for_cells(d, moved_cells, &routes);
+    route::update_routes_for_cells(d, moved_cells, &routes, ropt);
     return sta.retime(moved_cells).guard_wns();
   };
   // Migration may consume positive slack and even dip negative up to the
@@ -156,11 +160,12 @@ RepartitionResult repartition_eco(Design& d, const RepartitionOptions& opt,
   // accept/reject re-times only the cone of the touched cells instead of
   // re-routing and re-propagating the entire design (the dominant cost of
   // Algorithm 1 as designs grow).
-  route::RoutingEstimate routes = route::route_design(d);
+  const route::RouteOptions ropt{opt.pool};
+  route::RoutingEstimate routes = route::route_design(d, ropt);
   sta::Sta sta(d, &routes, opt.sta);
   const sta::StaResult& timing = sta.run();
   auto retime_moved = [&](const std::vector<CellId>& moved_cells) {
-    route::update_routes_for_cells(d, moved_cells, &routes);
+    route::update_routes_for_cells(d, moved_cells, &routes, ropt);
     sta.retime(moved_cells);
   };
   // Variation-aware accept metric: guard-banded (worst-over-corners)

@@ -40,10 +40,11 @@ struct RepartitionOptions {
   double tns_th = 0.0;         ///< required TNS improvement per iteration
   int max_iters = 12;
   sta::StaOptions sta;         ///< timing options for the ECO updates
-  /// Worker pool for the per-iteration candidate scans (counterweight
-  /// selection); nullptr means exec::Pool::global(). The scans gather in
-  /// deterministic chunk order, so results are byte-identical at any pool
-  /// size and the field is excluded from flow-cache option hashes.
+  /// Worker pool for the routing estimate and the per-iteration candidate
+  /// scans (counterweight selection); nullptr routes serially and scans on
+  /// exec::Pool::global(). Routing and the scans are deterministic in net
+  /// and chunk order, so results are byte-identical at any pool size and
+  /// the field is excluded from flow-cache option hashes.
   exec::Pool* pool = nullptr;
 };
 
@@ -103,12 +104,14 @@ double tier_unbalance(const Design& d);
 /// area/power recovery lever — non-critical logic belongs on the small,
 /// low-power 9-track die. Returns cells moved.
 ///
-/// `sta_opt` configures the verification STA the batches are accepted
-/// against; with a multi-corner spec the WNS floor is checked on the
-/// guard-banded (worst-over-corners) WNS, so a migration that only breaks
-/// a slow-tier corner is undone too.
-int rebalance_to_top(Design& d, const sta::StaResult& timing,
-                     double min_slack_ns, double utilization,
+/// The function routes and times the design itself, once: `sta_opt`
+/// configures that STA, which ranks the candidates and verifies every
+/// batch incrementally. With a multi-corner spec the WNS floor is checked
+/// on the guard-banded (worst-over-corners) WNS, so a migration that only
+/// breaks a slow-tier corner is undone too. `pool` runs the routing and
+/// the candidate scan (nullptr: routes serially, scans on
+/// exec::Pool::global()); results are byte-identical at any pool size.
+int rebalance_to_top(Design& d, double min_slack_ns, double utilization,
                      exec::Pool* pool = nullptr,
                      const sta::StaOptions& sta_opt = {});
 

@@ -500,7 +500,10 @@ struct LegalRow {
       const double gap_lo = occ_[i].hi;
       const double gap_hi = occ_[i + 1].lo;
       if (gap_hi - gap_lo < w - 1e-9) return false;
-      const double x = std::clamp(want_lo, gap_lo, gap_hi - w);
+      // Not std::clamp: a gap up to 1e-9 narrower than the cell passes the
+      // fit test above, and clamp with hi < lo is undefined. min(max())
+      // is what libstdc++'s clamp computes whenever hi >= lo.
+      const double x = std::min(std::max(want_lo, gap_lo), gap_hi - w);
       const double cost = std::abs(x - want_lo);
       if (cost < best_cost) {
         best_cost = cost;

@@ -111,7 +111,9 @@ class StaEngine {
                double* slew_add, bool* via_miv, double* wirelen) const;
   double arc_derate(CellId cell, PinId in_pin) const;
   void init_launch(PinId p);
-  void eval_cell_arc(CellId c, PinId in_pin, PinId out_pin);
+  /// One input→output arc of cell `c`; `load` is out_pin's net load,
+  /// summed once by the caller for all of the cell's input arcs.
+  void eval_cell_arc(CellId c, PinId in_pin, PinId out_pin, double load);
 
   void compute_port_latency();
   void run_level(const std::vector<PinId>& pins, bool forward);
@@ -176,6 +178,7 @@ bool StaEngine::pin_participates(PinId p) const {
 }
 
 void StaEngine::build_structure() {
+  util::TraceSpan span("sta_build", nl_.name());
   const std::size_t np = static_cast<std::size_t>(nl_.pin_count());
   const std::size_t nc = static_cast<std::size_t>(nl_.cell_count());
 
@@ -508,12 +511,11 @@ void StaEngine::init_launch(PinId p) {
   }
 }
 
-void StaEngine::eval_cell_arc(CellId c, PinId in_pin, PinId out_pin) {
+void StaEngine::eval_cell_arc(CellId c, PinId in_pin, PinId out_pin,
+                              double load) {
   const tech::LibCell* lc = d_.lib_cell(c);
   const Pin& ip = nl_.pin(in_pin);
   const auto& arc = lc->arc(ip.index);
-  const Pin& op = nl_.pin(out_pin);
-  const double load = op.net == kInvalidId ? 0.0 : net_load_ff(op.net);
   const double derate = arc_derate(c, in_pin);
   const double* fac = factors(c);
   const std::size_t K = static_cast<std::size_t>(K_);
@@ -597,10 +599,12 @@ void StaEngine::compute_forward(PinId p) {
     case Role::kCombOut: {
       auto& row = cell_arc_[pi];
       std::fill(row.begin(), row.end(), 0.0);
-      const CellId c = nl_.pin(p).cell;
+      const Pin& op = nl_.pin(p);
+      const CellId c = op.cell;
+      const double load = op.net == kInvalidId ? 0.0 : net_load_ff(op.net);
       const auto ci = static_cast<std::size_t>(c);
       for (int k = cell_in_off_[ci]; k < cell_in_off_[ci + 1]; ++k)
-        eval_cell_arc(c, cell_in_[static_cast<std::size_t>(k)], p);
+        eval_cell_arc(c, cell_in_[static_cast<std::size_t>(k)], p, load);
       break;
     }
     default:

@@ -211,21 +211,26 @@ class StaResult {
 
 /// A persistent timing engine bound to one design. Construction builds the
 /// static timing-graph structure (participation, topological levels,
-/// adjacency) once; run() then propagates the whole graph level by level —
-/// in parallel across each level — and retime() re-propagates only the
-/// cone of a set of touched cells.
+/// adjacency) once per design topology — the `sta_build` trace span;
+/// run() then propagates the whole graph level by level — in parallel
+/// across each level — and retime() re-propagates only the cone of a set
+/// of touched cells. Library views (cell tables, pin caps, setup/hold)
+/// are read from the design at propagation time, never cached.
 ///
 /// Invariants:
 ///  * run() and retime() produce bitwise-identical StaResults for any
 ///    worker-pool size, including 1 (each pin is computed by exactly one
 ///    writer that gathers its predecessors in a fixed order);
-///  * retime(dirty) after tier moves of `dirty` (with `routes` patched in
-///    place via route::update_routes_for_cells for the same cells) is
-///    bitwise-identical to a fresh full run();
+///  * after tier moves or drive changes (Netlist::set_drive) of a cell set
+///    `dirty`, a run() on the same Sta — and retime(dirty) after a prior
+///    run() — is bitwise-identical to a fresh run_sta(); tier moves also
+///    need `routes` patched in place via route::update_routes_for_cells
+///    for the same cells, drive changes need no re-route (routes depend
+///    only on positions and tiers);
 ///  * the structure is only valid while the netlist topology, placement
-///    and clock latencies are unchanged — tier moves are fine, anything
-///    else needs a new Sta (or a full run() for latency/period changes
-///    is NOT enough: rebuild instead).
+///    and clock latencies are unchanged — tier moves and drive changes
+///    are fine, anything else needs a new Sta (or a full run() for
+///    latency/period changes is NOT enough: rebuild instead).
 ///
 /// Throws util::Error from the constructor when the combinational graph
 /// has a cycle (same check run_sta used to make).
@@ -241,7 +246,8 @@ class Sta {
   const StaResult& run();
 
   /// Incremental re-propagation after the cells in `dirty_cells` changed
-  /// tier (and the routes of their incident nets were re-estimated).
+  /// tier (and the routes of their incident nets were re-estimated) or
+  /// drive.
   /// Requires a prior run(). An empty dirty set is a no-op; the full cell
   /// set degenerates to run().
   const StaResult& retime(const std::vector<CellId>& dirty_cells);

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace m3d::tech {
 
@@ -242,7 +243,9 @@ struct Group {
   }
   double num(const std::string& name, double dflt = 0.0) const {
     const auto* v = find(name);
-    return v != nullptr && !v->empty() ? std::stod((*v)[0]) : dflt;
+    return v != nullptr && !v->empty()
+               ? util::parse_number<double>((*v)[0], name)
+               : dflt;
   }
 };
 
@@ -348,7 +351,8 @@ std::vector<double> parse_number_list(const std::vector<std::string>& args) {
       std::size_t b = item.find_first_not_of(" \t\n\\");
       std::size_t e = item.find_last_not_of(" \t\n\\");
       if (b == std::string::npos) continue;
-      out.push_back(std::stod(item.substr(b, e - b + 1)));
+      out.push_back(util::parse_number<double>(
+          std::string_view(item).substr(b, e - b + 1), "table value"));
     }
   }
   return out;
@@ -438,7 +442,8 @@ TechLib parse_liberty(const std::string& text) {
         const std::string related = timing.attr("related_pin", "A0");
         M3D_CHECK_MSG(related.size() >= 2 && related[0] == 'A',
                       "unexpected related_pin '" << related << "'");
-        const int idx = std::stoi(related.substr(1));
+        const int idx = util::parse_number<int>(
+            std::string_view(related).substr(1), "related_pin index");
         M3D_CHECK(idx >= 0 && idx < c.input_count());
         TimingArc& arc = c.arcs[static_cast<std::size_t>(idx)];
         arc.input_index = idx;

@@ -59,10 +59,21 @@ bool func_is_buffering(CellFunc f) {
 
 int TechLib::add_cell(LibCell cell) {
   const int idx = static_cast<int>(cells_.size());
-  const auto key = std::make_pair(static_cast<int>(cell.func), cell.drive);
-  M3D_CHECK_MSG(by_func_drive_.find(key) == by_func_drive_.end(),
+  const int f = static_cast<int>(cell.func);
+  M3D_CHECK_MSG(f >= 0 && f < kCellFuncCount,
+                "cell " << cell.name << " has no valid function");
+  M3D_CHECK_MSG(cell.drive >= 0 && cell.drive <= kMaxDrive,
+                "cell " << cell.name << " drive " << cell.drive
+                        << " outside [0, " << kMaxDrive << "]");
+  FuncIndex& fi = by_func_[static_cast<std::size_t>(f)];
+  const auto slot = static_cast<std::size_t>(cell.drive);
+  M3D_CHECK_MSG(slot >= fi.by_drive.size() || fi.by_drive[slot] < 0,
                 "duplicate cell " << cell.name);
-  by_func_drive_[key] = idx;
+  if (slot >= fi.by_drive.size()) fi.by_drive.resize(slot + 1, -1);
+  fi.by_drive[slot] = idx;
+  fi.ladder.insert(
+      std::upper_bound(fi.ladder.begin(), fi.ladder.end(), cell.drive),
+      cell.drive);
   cells_.push_back(std::move(cell));
   return idx;
 }
@@ -86,14 +97,23 @@ const MacroCell& TechLib::macro(int idx) const {
   return macros_[static_cast<std::size_t>(idx)];
 }
 
+const TechLib::FuncIndex* TechLib::func_index(CellFunc func) const {
+  const int f = static_cast<int>(func);
+  if (f < 0 || f >= kCellFuncCount) return nullptr;
+  return &by_func_[static_cast<std::size_t>(f)];
+}
+
 const LibCell* TechLib::find(CellFunc func, int drive) const {
   const int idx = find_index(func, drive);
   return idx < 0 ? nullptr : &cells_[static_cast<std::size_t>(idx)];
 }
 
 int TechLib::find_index(CellFunc func, int drive) const {
-  const auto it = by_func_drive_.find({static_cast<int>(func), drive});
-  return it == by_func_drive_.end() ? -1 : it->second;
+  const FuncIndex* fi = func_index(func);
+  if (fi == nullptr || drive < 0 ||
+      static_cast<std::size_t>(drive) >= fi->by_drive.size())
+    return -1;
+  return fi->by_drive[static_cast<std::size_t>(drive)];
 }
 
 int TechLib::find_macro(std::string_view name) const {
@@ -101,22 +121,20 @@ int TechLib::find_macro(std::string_view name) const {
   return it == macro_by_name_.end() ? -1 : it->second;
 }
 
-std::vector<int> TechLib::drives_for(CellFunc func) const {
-  std::vector<int> out;
-  for (const auto& [key, idx] : by_func_drive_)
-    if (key.first == static_cast<int>(func)) out.push_back(key.second);
-  std::sort(out.begin(), out.end());
-  return out;
+const std::vector<int>& TechLib::drives_for(CellFunc func) const {
+  static const std::vector<int> kNone;
+  const FuncIndex* fi = func_index(func);
+  return fi == nullptr ? kNone : fi->ladder;
 }
 
 int TechLib::upsize(CellFunc func, int drive) const {
-  const auto drives = drives_for(func);
+  const auto& drives = drives_for(func);
   auto it = std::upper_bound(drives.begin(), drives.end(), drive);
   return it == drives.end() ? -1 : *it;
 }
 
 int TechLib::downsize(CellFunc func, int drive) const {
-  const auto drives = drives_for(func);
+  const auto& drives = drives_for(func);
   auto it = std::lower_bound(drives.begin(), drives.end(), drive);
   if (it == drives.begin()) return -1;
   return *(it - 1);

@@ -2,6 +2,7 @@
 /// \file tech_lib.hpp
 /// \brief A complete technology library: cells, macros, wires, voltages.
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,7 +37,12 @@ class TechLib {
   const MivModel& miv() const { return miv_; }
   void set_miv(const MivModel& m) { miv_ = m; }
 
-  /// Register a cell; name must be unique. Returns its index.
+  /// Largest drive strength a library cell may carry: (function, drive)
+  /// resolves through a dense per-function slot array of this size.
+  static constexpr int kMaxDrive = 1024;
+
+  /// Register a cell; its (function, drive) must be unique and the drive
+  /// within [0, kMaxDrive]. Returns its index.
   int add_cell(LibCell cell);
 
   /// Register a macro; name must be unique. Returns its index.
@@ -48,17 +54,18 @@ class TechLib {
   const LibCell& cell(int idx) const;
   const MacroCell& macro(int idx) const;
 
-  /// Cell lookup by function and drive; returns nullptr if absent.
+  /// Cell lookup by function and drive; returns nullptr if absent. O(1).
   const LibCell* find(CellFunc func, int drive) const;
 
-  /// Index of a cell by function and drive; -1 if absent.
+  /// Index of a cell by function and drive; -1 if absent. O(1).
   int find_index(CellFunc func, int drive) const;
 
   /// Macro lookup by name; returns -1 if absent.
   int find_macro(std::string_view name) const;
 
-  /// Available drive strengths for a function, ascending.
-  std::vector<int> drives_for(CellFunc func) const;
+  /// Available drive strengths for a function, ascending (empty when the
+  /// library lacks the function).
+  const std::vector<int>& drives_for(CellFunc func) const;
 
   /// Next-larger drive for a function (-1 when already at max). Used by
   /// the sizing optimizer.
@@ -82,7 +89,14 @@ class TechLib {
   MivModel miv_;
   std::vector<LibCell> cells_;
   std::vector<MacroCell> macros_;
-  std::map<std::pair<int, int>, int> by_func_drive_;  // (func, drive) -> idx
+  /// Per function: cell index by drive (-1 = none; sized to the largest
+  /// drive seen) and the drives present, ascending. Built by add_cell.
+  struct FuncIndex {
+    std::vector<int> by_drive;
+    std::vector<int> ladder;
+  };
+  const FuncIndex* func_index(CellFunc func) const;
+  std::array<FuncIndex, kCellFuncCount> by_func_;
   std::map<std::string, int> macro_by_name_;
 };
 

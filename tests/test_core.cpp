@@ -4,12 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
+
 #include "core/flow.hpp"
 #include "gen/designs.hpp"
 #include "part/fm.hpp"
 #include "place/place.hpp"
 #include "tech/library_factory.hpp"
 #include "util/log.hpp"
+#include "util/trace.hpp"
 
 namespace mc = m3d::core;
 namespace mg = m3d::gen;
@@ -227,4 +233,88 @@ TEST_F(CoreFlow, GoldenMetricsMatchSeedFlow) {
     EXPECT_EQ(m.die_cost_e6, g.die_cost_e6) << m.config_name;
     EXPECT_EQ(m.ppc, g.ppc) << m.config_name;
   }
+}
+
+namespace {
+
+/// One complete ("X") span of a chrome trace written by util::trace_end().
+struct TraceSpanRec {
+  std::string name;
+  long long tid = 0, ts = 0, dur = 0;
+};
+
+std::vector<TraceSpanRec> read_spans(const std::string& path) {
+  std::vector<TraceSpanRec> out;
+  std::ifstream in(path);
+  std::string line;
+  auto field = [&](const char* key) {
+    const std::size_t at = line.find(key);
+    return at == std::string::npos ? std::string::npos
+                                   : at + std::string(key).size();
+  };
+  while (std::getline(in, line)) {
+    if (line.rfind("{\"name\":\"", 0) != 0) continue;
+    if (line.find("\"ph\":\"X\"") == std::string::npos) continue;
+    TraceSpanRec r;
+    const std::size_t n0 = field("\"name\":\"");
+    r.name = line.substr(n0, line.find('"', n0) - n0);
+    r.tid = std::stoll(line.substr(field("\"tid\":")));
+    r.ts = std::stoll(line.substr(field("\"ts\":")));
+    r.dur = std::stoll(line.substr(field("\"dur\":")));
+    out.push_back(r);
+  }
+  return out;
+}
+
+/// Spans named `child` nested inside `parent` (same thread, inside its
+/// time window).
+int nested_count(const std::vector<TraceSpanRec>& spans,
+                 const TraceSpanRec& parent, const std::string& child) {
+  int n = 0;
+  for (const auto& s : spans)
+    if (s.name == child && s.tid == parent.tid && s.ts >= parent.ts &&
+        s.ts + s.dur <= parent.ts + parent.dur)
+      ++n;
+  return n;
+}
+
+int count_named(const std::vector<TraceSpanRec>& spans,
+                const std::string& name) {
+  int n = 0;
+  for (const auto& s : spans) n += s.name == name;
+  return n;
+}
+
+}  // namespace
+
+// Deterministic work counters of one traced Hetero-3D flow: the sizing
+// loops route once and build one timing graph, whatever their round
+// count, and the flow as a whole routes seven times (partition, the two
+// routed optimizations, ECO, rebalance, fix-up ECO, finalize).
+TEST_F(CoreFlow, TracedHeteroFlowRoutesAndBuildsTimingGraphsOnce) {
+  const std::string path =
+      ::testing::TempDir() + "m3d_core_work_counters.json";
+  m3d::util::trace_begin(path);
+  { mc::run_flow(small("aes"), mc::Config::Hetero3D, fast_opts()); }
+  m3d::util::trace_end();
+  const auto spans = read_spans(path);
+  std::remove(path.c_str());
+
+  EXPECT_EQ(count_named(spans, "flow"), 1);
+  EXPECT_EQ(count_named(spans, "route_pass"), 7);
+  // synth, partition, two routed optimizations, ECO, rebalance, fix-up
+  // ECO and finalize each build exactly one timing graph.
+  EXPECT_EQ(count_named(spans, "sta_build"), 8);
+  int routed_opts = 0;
+  for (const auto& s : spans) {
+    if (s.name == "synth") {
+      EXPECT_EQ(nested_count(spans, s, "route_pass"), 0);
+      EXPECT_EQ(nested_count(spans, s, "sta_build"), 1);
+    }
+    if (s.name != "post_place_opt" && s.name != "post_cts_opt") continue;
+    ++routed_opts;
+    EXPECT_EQ(nested_count(spans, s, "route_pass"), 1) << s.name;
+    EXPECT_EQ(nested_count(spans, s, "sta_build"), 1) << s.name;
+  }
+  EXPECT_EQ(routed_opts, 2);
 }

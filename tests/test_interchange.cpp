@@ -105,6 +105,34 @@ TEST(Liberty, ParserRejectsGarbage) {
                m3d::util::Error);
 }
 
+TEST(Liberty, ParserRejectsBadNumbersAsErrors) {
+  // Malformed numbers surface as util::Error naming the token, never as
+  // the std::invalid_argument / std::out_of_range of the std::sto* family.
+  EXPECT_THROW(mt::parse_liberty("library (x) { nom_voltage : abc; }"),
+               m3d::util::Error);
+  EXPECT_THROW(mt::parse_liberty("library (x) { nom_voltage : 1e999; }"),
+               m3d::util::Error);
+  const std::string good = mt::liberty_string(*mt::make_12track());
+  auto corrupt = [&](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  EXPECT_THROW(mt::parse_liberty(corrupt("related_pin : \"A0\"",
+                                         "related_pin : \"Aq\"")),
+               m3d::util::Error);
+  EXPECT_THROW(mt::parse_liberty(corrupt("index_1 (\"", "index_1 (\"0.1x, ")),
+               m3d::util::Error);
+  try {
+    mt::parse_liberty(corrupt("related_pin : \"A0\"",
+                              "related_pin : \"A99999999999\""));
+    ADD_FAILURE() << "overflowing related_pin accepted";
+  } catch (const m3d::util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("99999999999"), std::string::npos);
+  }
+}
+
 TEST(Liberty, ParserIgnoresUnknownAttributes) {
   const std::string text =
       "library (mini) {\n"
@@ -234,6 +262,23 @@ TEST(Verilog, ReaderRejectsMalformedInput) {
   EXPECT_THROW(
       mn::parse_verilog("module m ();\n INV_X1 u (.A0(nope));\nendmodule"),
       m3d::util::Error);  // undeclared net
+}
+
+TEST(Verilog, ReaderRejectsBadNumbersAsErrors) {
+  auto module = [](const std::string& inst) {
+    return "module m (input a, output z);\n wire w;\n " + inst +
+           "\n assign w = a;\n assign z = w;\nendmodule";
+  };
+  // Sanity: the well-formed instance parses.
+  EXPECT_NO_THROW(mn::parse_verilog(module("NAND2_X2 u (.A0(w), .A1(w));")));
+  // A drive past int range, and pin indices that are not numbers.
+  EXPECT_THROW(
+      mn::parse_verilog(module("NAND2_X99999999999 u (.A0(w), .A1(w));")),
+      m3d::util::Error);
+  EXPECT_THROW(mn::parse_verilog(module("NAND2_X2 u (.Aq(w), .A1(w));")),
+               m3d::util::Error);
+  EXPECT_THROW(mn::parse_verilog(module("NAND2_X2 u (.A0(w), .Z1x(w));")),
+               m3d::util::Error);
 }
 
 TEST(Verilog, HandwrittenModuleParses) {

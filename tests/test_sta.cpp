@@ -569,6 +569,52 @@ TEST(Sta, RetimeBigBatchByteIdenticalAcrossPoolSizes) {
   expect_identical(fresh.run(), b.result(), d);
 }
 
+TEST(Sta, DriveChangesOnPersistentStaMatchFreshRun) {
+  // The sizing loop's contract: after set_drive on a batch of cells, run()
+  // on the same Sta — and retime() of the resized cells — is bitwise
+  // equal to a from-scratch run_sta, at any pool size. Routes stay as
+  // they were: drives move neither positions nor tiers.
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE(workers);
+    auto d = routed_hetero("netcard", kWideScale, 0.8);
+    const auto routes = mr::route_design(d);
+    mex::Pool pool(workers);
+    ms::StaOptions o;
+    o.pool = &pool;
+    ms::Sta full(d, &routes, o);
+    ms::Sta inc(d, &routes, o);
+    full.run();
+    inc.run();
+
+    const auto cells = movable_std_cells(d);
+    for (int round = 0; round < 2; ++round) {
+      // Round 0 upsizes every third cell, round 1 downsizes every fifth
+      // (ladder ends step the other way), overlapping the first batch.
+      std::vector<mn::CellId> resized;
+      for (std::size_t i = 0; i < cells.size(); i += round == 0 ? 3 : 5) {
+        const mn::CellId c = cells[i];
+        const auto& cc = d.nl().cell(c);
+        const auto& lib = d.lib_of(c);
+        int to = round == 0 ? lib.upsize(cc.func, cc.drive)
+                            : lib.downsize(cc.func, cc.drive);
+        if (to < 0)
+          to = round == 0 ? lib.downsize(cc.func, cc.drive)
+                          : lib.upsize(cc.func, cc.drive);
+        ASSERT_GE(to, 0);
+        d.nl().set_drive(c, to);
+        resized.push_back(c);
+      }
+      const ms::StaResult ref = ms::run_sta(d, &routes, o);
+      const auto& rerun = full.run();
+      EXPECT_EQ(ms::timing_fingerprint(rerun), ms::timing_fingerprint(ref));
+      expect_identical(rerun, ref, d);
+      const auto& retimed = inc.retime(resized);
+      EXPECT_EQ(ms::timing_fingerprint(retimed), ms::timing_fingerprint(ref));
+      expect_identical(retimed, ref, d);
+    }
+  }
+}
+
 // ---- corner-vectorized sweep ---------------------------------------------
 
 namespace {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "tech/library_factory.hpp"
 #include "tech/nldm.hpp"
 #include "tech/tech_lib.hpp"
@@ -165,6 +167,78 @@ TEST(TechLib, FindAndDriveLadder) {
   EXPECT_EQ(lib->downsize(mt::CellFunc::Inv, 1), -1);
   const auto drives = lib->drives_for(mt::CellFunc::Nand2);
   EXPECT_EQ(drives, (std::vector<int>{1, 2, 4, 8}));
+}
+
+TEST(TechLib, FindResolvesEveryCellByItsOwnFunctionAndDrive) {
+  for (const auto& lib : {mt::make_9track(), mt::make_12track()}) {
+    SCOPED_TRACE(lib->name());
+    ASSERT_GT(lib->cell_count(), 0);
+    for (int i = 0; i < lib->cell_count(); ++i) {
+      const mt::LibCell& c = lib->cell(i);
+      EXPECT_EQ(lib->find_index(c.func, c.drive), i) << c.name;
+      EXPECT_EQ(lib->find(c.func, c.drive), &c) << c.name;
+    }
+    for (int f = 0; f < mt::kCellFuncCount; ++f) {
+      const auto func = static_cast<mt::CellFunc>(f);
+      const auto& drives = lib->drives_for(func);
+      ASSERT_FALSE(drives.empty());
+      EXPECT_TRUE(std::is_sorted(drives.begin(), drives.end()));
+      EXPECT_EQ(std::adjacent_find(drives.begin(), drives.end()),
+                drives.end());
+      // The ladder ends have no further step.
+      EXPECT_EQ(lib->upsize(func, drives.back()), -1);
+      EXPECT_EQ(lib->downsize(func, drives.front()), -1);
+      // Absent drives: negative, between rungs, past the ladder.
+      EXPECT_EQ(lib->find_index(func, -1), -1);
+      EXPECT_EQ(lib->find(func, -4), nullptr);
+      EXPECT_EQ(lib->find_index(func, 3), -1);
+      EXPECT_EQ(lib->find_index(func, drives.back() + 1), -1);
+      EXPECT_EQ(lib->find(func, mt::TechLib::kMaxDrive + 1), nullptr);
+    }
+    // A value outside the CellFunc range is a function it lacks.
+    EXPECT_EQ(lib->find_index(static_cast<mt::CellFunc>(mt::kCellFuncCount), 1),
+              -1);
+  }
+}
+
+TEST(TechLib, FindMissesAFunctionTheLibraryLacks) {
+  mt::TechLib lib("mini", 12, 0.9, 0.32, 1.2);
+  mt::LibCell inv;
+  inv.name = "INV_X2_MINI";
+  inv.func = mt::CellFunc::Inv;
+  inv.drive = 2;
+  EXPECT_EQ(lib.add_cell(inv), 0);
+  EXPECT_EQ(lib.find_index(mt::CellFunc::Inv, 2), 0);
+  EXPECT_EQ(lib.find_index(mt::CellFunc::Inv, 1), -1);
+  EXPECT_EQ(lib.find(mt::CellFunc::Nand2, 2), nullptr);
+  EXPECT_TRUE(lib.drives_for(mt::CellFunc::Nand2).empty());
+  EXPECT_EQ(lib.upsize(mt::CellFunc::Nand2, 1), -1);
+  EXPECT_EQ(lib.downsize(mt::CellFunc::Nand2, 4), -1);
+
+  // Out-of-order registration still yields an ascending ladder.
+  mt::LibCell inv1 = inv;
+  inv1.name = "INV_X1_MINI";
+  inv1.drive = 1;
+  EXPECT_EQ(lib.add_cell(inv1), 1);
+  EXPECT_EQ(lib.drives_for(mt::CellFunc::Inv), (std::vector<int>{1, 2}));
+  EXPECT_EQ(lib.upsize(mt::CellFunc::Inv, 1), 2);
+  EXPECT_EQ(lib.downsize(mt::CellFunc::Inv, 2), 1);
+
+  // A second cell with the same (function, drive) is rejected, as is a
+  // drive outside the index range.
+  mt::LibCell dup = inv;
+  dup.name = "INV_X2_DUP";
+  EXPECT_THROW(lib.add_cell(dup), m3d::util::Error);
+  mt::LibCell huge = inv;
+  huge.name = "INV_HUGE";
+  huge.drive = mt::TechLib::kMaxDrive + 1;
+  EXPECT_THROW(lib.add_cell(huge), m3d::util::Error);
+  mt::LibCell negative = inv;
+  negative.name = "INV_NEG";
+  negative.drive = -1;
+  EXPECT_THROW(lib.add_cell(negative), m3d::util::Error);
+  EXPECT_EQ(lib.cell_count(), 2);
+  EXPECT_EQ(lib.find_index(mt::CellFunc::Inv, 2), 0);
 }
 
 TEST(TechLib, MacrosPresentAndIdenticalAcrossLibraries) {
