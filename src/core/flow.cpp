@@ -196,6 +196,13 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
   place::PlaceOptions popt = opt.place;
   popt.utilization = opt.utilization;
 
+  // Legalization and clock-latency annotation run between the stage
+  // spans; their own spans keep that time visible in traces.
+  auto legalize = [&d] {
+    util::TraceSpan span("legalize");
+    place::legalize(d);
+  };
+
   // ---- synthesis-like stage ------------------------------------------------
   // Zero-wire sizing/buffering toward the frequency target *before* the
   // floorplan is cut: the floorplan is then sized from the synthesized
@@ -263,7 +270,7 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
         part::bin_fm_partition(d, fm);
       }
     }
-    place::legalize(d);
+    legalize();
     ckpt.save(flow::Stage::Partition, res, clock);
   }
 
@@ -287,7 +294,7 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
     }
     // Sizing changed cell area; restore the utilization target.
     place::rescale_to_utilization(d, opt.utilization);
-    place::legalize(d);
+    legalize();
     ckpt.save(flow::Stage::PostPlaceOpt, res, clock);
   }
 
@@ -301,12 +308,16 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
     copt.mode = cts::Mode3D::CoverCell;
     copt.prefer_low_power_trunk = false;  // homogeneous: no power asymmetry
   }
+  auto annotate_clock = [&d, &copt] {
+    util::TraceSpan span("clock_latency");
+    return cts::annotate_clock_latencies(d, copt.pool);
+  };
   if (!ckpt.done(flow::Stage::Cts)) {
     {
       util::TraceSpan span("cts", nl.name());
       cts::build_clock_tree(d, copt);
-      place::legalize(d);
-      clock = cts::annotate_clock_latencies(d, copt.pool);
+      legalize();
+      clock = annotate_clock();
     }
     ckpt.save(flow::Stage::Cts, res, clock);
   }
@@ -328,8 +339,8 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
       post.max_wire_um = 1e9;
       const auto fix = opt::optimize_timing(d, post);
       res.opt.cells_upsized += fix.cells_upsized;
-      place::legalize(d);
-      clock = cts::annotate_clock_latencies(d, copt.pool);
+      legalize();
+      clock = annotate_clock();
     }
     ckpt.save(flow::Stage::PostCtsOpt, res, clock);
   }
@@ -362,8 +373,8 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
                                opt.utilization, opt.pool, sopt);
       }
       place::rescale_to_utilization(d, opt.utilization);
-      place::legalize(d);
-      cts::annotate_clock_latencies(d, copt.pool);
+      legalize();
+      annotate_clock();
       ckpt.save(flow::Stage::Rebalance, res, clock);
     }
     // Final ECO pass at settled positions: pull back anything the
@@ -379,9 +390,9 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
           ckpt.save_iter(flow::Stage::RepartFixup, res, clock, st);
         };
         part::repartition_eco(d, fixup, &hooks);
-        place::legalize(d);
+        legalize();
       }
-      clock = cts::annotate_clock_latencies(d, copt.pool);
+      clock = annotate_clock();
       ckpt.save(flow::Stage::RepartFixup, res, clock);
     }
   }

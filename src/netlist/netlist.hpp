@@ -304,6 +304,12 @@ class Netlist {
     return {pin_iota_.data() + cell_pin_off_[i],
             static_cast<std::size_t>(cell_in_count_[i])};
   }
+  /// All pins of a cell (cell(c).pins, without building the view).
+  PinSpan pins_of(CellId c) const {
+    const std::size_t i = check_cell(c);
+    return {pin_iota_.data() + cell_pin_off_[i],
+            static_cast<std::size_t>(cell_pin_cnt_[i])};
+  }
   /// Output pins of a cell (output_pins() order, no allocation).
   PinSpan output_pins_of(CellId c) const {
     const std::size_t i = check_cell(c);

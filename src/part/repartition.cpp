@@ -28,6 +28,7 @@ template <typename Keep>
 std::vector<std::pair<double, CellId>> bottom_slack_cands(
     const Design& d, const sta::StaResult& timing, exec::Pool& pool,
     Keep&& keep) {
+  util::TraceSpan span("eco_candidates");
   constexpr int kParallelMin = 2048;
   constexpr int kGrain = 2048;
   const int nc = d.nl().cell_count();
@@ -95,7 +96,10 @@ int rebalance_to_top(Design& d, double min_slack_ns, double utilization,
   // exactly the nominal WNS when sta_opt is single-corner (guard_wns() ==
   // wns() bitwise at K = 1).
   auto retime_moved = [&](const std::vector<CellId>& moved_cells) {
-    route::update_routes_for_cells(d, moved_cells, &routes, ropt);
+    {
+      util::TraceSpan span("eco_route_update");
+      route::update_routes_for_cells(d, moved_cells, &routes, ropt);
+    }
     return sta.retime(moved_cells).guard_wns();
   };
   // Migration may consume positive slack and even dip negative up to the
@@ -165,7 +169,10 @@ RepartitionResult repartition_eco(Design& d, const RepartitionOptions& opt,
   sta::Sta sta(d, &routes, opt.sta);
   const sta::StaResult& timing = sta.run();
   auto retime_moved = [&](const std::vector<CellId>& moved_cells) {
-    route::update_routes_for_cells(d, moved_cells, &routes, ropt);
+    {
+      util::TraceSpan span("eco_route_update");
+      route::update_routes_for_cells(d, moved_cells, &routes, ropt);
+    }
     sta.retime(moved_cells);
   };
   // Variation-aware accept metric: guard-banded (worst-over-corners)

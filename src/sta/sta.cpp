@@ -5,9 +5,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <optional>
+#include <string>
 
 #include "exec/pool.hpp"
+#include "exec/worklist.hpp"
 #include "util/check.hpp"
 #include "util/trace.hpp"
 
@@ -31,6 +34,8 @@ constexpr double kClockPinSlew = 0.025;  // slew asserted at FF clock pins
 // differs.
 constexpr int kParallelLevelMin = 192;
 constexpr int kParallelGrain = 64;
+// Cells per task of run()'s library-view refresh.
+constexpr int kParallelViewGrain = 512;
 
 int opp(int t) { return 1 - t; }
 
@@ -48,6 +53,15 @@ namespace detail {
 /// retime() re-propagates only the cone of a dirty cell set using
 /// level-bucketed worklists with exact (bitwise) change detection, and is
 /// bitwise-identical to a full run() — see DESIGN.md for the invariants.
+///
+/// Library views: the kernels never resolve a cell's library binding
+/// themselves. They read a per-cell view table (kind, LibCell, MacroCell)
+/// and a per-pin input-cap column, which run() refreshes for every cell
+/// and retime() for the dirty cells, plus scalar netlist/design columns.
+///
+/// Flat storage: levels, stored arc delays and the retime worklists are
+/// CSR arrays (one offsets array, one values array), and every retime
+/// scratch buffer is sized by the build, so retime() allocates nothing.
 ///
 /// Corner vectorization: with K = opt.corners.count > 1 the arrival,
 /// min-arrival, required and endpoint slack/hold arrays become stride-K
@@ -94,8 +108,26 @@ class StaEngine {
     kCombOut,  ///< output of a combinational cell, fed by its input pins
   };
 
+  /// A cell's library binding as the kernels read it.
+  struct CellView {
+    CellKind kind = CellKind::Comb;
+    const tech::LibCell* lc = nullptr;    ///< Comb/Seq only
+    const tech::MacroCell* mc = nullptr;  ///< Macro only
+  };
+
   void build_structure();
   bool pin_participates(PinId p) const;
+  /// Combinational cell on the data graph (not a clock buffer): its
+  /// outputs are kCombOut pins with stored arc delays.
+  bool data_comb(CellId c) const {
+    const auto ci = static_cast<std::size_t>(c);
+    return view_[ci].kind == CellKind::Comb && !clkbuf_[ci];
+  }
+
+  /// Re-resolve cell `c`'s library views and its pins' input caps from
+  /// the design (its current tier and drive). One writer per cell.
+  void refresh_view(CellId c);
+  void refresh_views();
 
   // Gather kernels: each writes only the state of pin `p` (and, for
   // kCombOut/kNetSink, the stored arc delays *at* `p`), reading only
@@ -111,13 +143,30 @@ class StaEngine {
                double* slew_add, bool* via_miv, double* wirelen) const;
   double arc_derate(CellId cell, PinId in_pin) const;
   void init_launch(PinId p);
-  /// One input→output arc of cell `c`; `load` is out_pin's net load,
-  /// summed once by the caller for all of the cell's input arcs.
-  void eval_cell_arc(CellId c, PinId in_pin, PinId out_pin, double load);
+  /// The nominal lane's winning arc into one output transition so far.
+  /// The winner's output slew is looked up once, after all input arcs.
+  struct SlewWinner {
+    const tech::NldmTable* table = nullptr;
+    double slew_in = 0.0;
+    double derate = 1.0;
+  };
+  /// One input→output arc of cell `c` (library view `lc`, corner factors
+  /// `fac`); `load` is out_pin's net load, summed once by the caller for
+  /// all of the cell's input arcs.
+  void eval_cell_arc(CellId c, const tech::LibCell& lc, const double* fac,
+                     PinId in_pin, PinId out_pin, double load,
+                     SlewWinner* win);
 
   void compute_port_latency();
-  void run_level(const std::vector<PinId>& pins, bool forward);
-  void aggregate();
+  void run_level(std::size_t lv, bool forward);
+  /// Result aggregates. After a retime() only the re-evaluated endpoints
+  /// (redo_eps_) are re-sorted and merged into the previous order.
+  void aggregate(bool after_retime);
+
+  /// Words of one pin's captured forward state in retime(): arr and
+  /// arr_min (rise/fall, K lanes each), the two slews and the net-arc
+  /// delay.
+  std::size_t fwd_words() const { return 4 * static_cast<std::size_t>(K_) + 3; }
 
   const Design& d_;
   const netlist::Netlist& nl_;
@@ -130,7 +179,10 @@ class StaEngine {
   std::vector<char> clkbuf_;      // per cell: is a clock buffer
   std::vector<Role> role_;        // per pin
   std::vector<int> level_;        // per pin: topological level (-1 if none)
-  std::vector<std::vector<PinId>> levels_;  // pins per level, id-ascending
+  // Pins per level (CSR): level lv is level_pins_[level_off_[lv] ..
+  // level_off_[lv + 1]), id-ascending.
+  std::vector<PinId> level_pins_;
+  std::vector<int> level_off_;
   std::vector<PinId> drv_pin_;    // per kNetSink pin: its net driver
   std::vector<int> sink_ord_;     // per kNetSink pin: ordinal in sinks()
   // Per-cell input/output pin lists (CSR; avoids per-call allocation).
@@ -143,6 +195,10 @@ class StaEngine {
   std::vector<int> ep_index_;     // per pin: index into ep arrays, -1
   std::size_t participating_ = 0;
 
+  // ---- library views (refreshed by run() / retime()) ----------------------
+  std::vector<CellView> view_;    // per cell; kind is static
+  std::vector<double> in_cap_;    // per pin: input cap (fF), 0 for outputs
+
   /// Corner-factor lane index of a cell: its tier's contiguous factors.
   const double* factors(CellId c) const {
     return fac_[d_.tier(c) == netlist::kTopTier ? 1 : 0].data();
@@ -154,17 +210,39 @@ class StaEngine {
 
   // ---- dynamic state (res_ holds arr/req/slew/pred) -----------------------
   // arr_min_, ep_slack_ and ep_hold_ are stride-K like res_'s arr/req;
-  // slew_, pred_, net_arc_delay_, cell_arc_ and ep_required_ stay
+  // slew_, pred_, net_arc_delay_, the arc rows and ep_required_ stay
   // corner-shared (delay-only derating: slews, wire delays and clock
   // constraints do not vary across the modeled corners).
   std::vector<double> arr_min_[2];
-  std::vector<double> net_arc_delay_;          // per sink pin
-  std::vector<std::vector<double>> cell_arc_;  // per out pin: [in*2 + T]
-  std::vector<double> ep_slack_;     // +inf = unreachable endpoint
-  std::vector<double> ep_hold_;      // +inf = no hold check at endpoint
-  std::vector<double> ep_required_;  // capture-edge required time
+  std::vector<double> net_arc_delay_;  // per sink pin
+  // Stored cell-arc delays (CSR): kCombOut pin p's row is arc_val_[
+  // arc_off_[p] .. arc_off_[p + 1]), indexed [in*2 + T]; other pins have
+  // an empty row.
+  std::vector<double> arc_val_;
+  std::vector<int> arc_off_;
+  std::size_t max_row_ = 0;           // longest arc row
+  std::vector<double> ep_slack_;      // +inf = unreachable endpoint
+  std::vector<double> ep_hold_;       // +inf = no hold check at endpoint
+  std::vector<double> ep_required_;   // capture-edge required time
   double port_latency_ = 0.0;
   bool has_run_ = false;
+
+  // ---- retime scratch (sized by the build) --------------------------------
+  // Cells/nets seen and pins queued in the current retime(); each call
+  // starts a new epoch instead of clearing.
+  exec::EpochMarks cell_seen_, net_seen_, fwd_queued_, bwd_queued_;
+  // Per-level worklists in level_pins_'s layout: level lv's bucket is
+  // fwd_wl_[level_off_[lv] .. level_off_[lv] + fwd_cnt_[lv]) (a pin is
+  // queued at most once per pass, so a level's span always fits).
+  std::vector<PinId> fwd_wl_, bwd_wl_;
+  std::vector<int> fwd_cnt_, bwd_cnt_;
+  std::vector<PinId> redo_eps_;
+  // Old-value capture slots: one per pin of a batch-recomputed bucket
+  // (the widest level on a multi-worker pool; one slot otherwise).
+  std::vector<double> old_fwd_, old_arcs_, old_req_;
+  // aggregate(): the finite-slack endpoints sorted by (slack, pin), plus
+  // the re-evaluated endpoints and the merge target of a retime.
+  std::vector<std::pair<double, PinId>> eps_, fresh_eps_, merged_eps_;
 
   StaResult res_;
 };
@@ -172,7 +250,7 @@ class StaEngine {
 bool StaEngine::pin_participates(PinId p) const {
   const Pin& pp = nl_.pin(p);
   if (pp.is_clock) return false;
-  if (pp.net != kInvalidId && nl_.net(pp.net).is_clock) return false;
+  if (pp.net != kInvalidId && nl_.net_is_clock(pp.net)) return false;
   if (clkbuf_[static_cast<std::size_t>(pp.cell)]) return false;
   return true;
 }
@@ -182,13 +260,16 @@ void StaEngine::build_structure() {
   const std::size_t np = static_cast<std::size_t>(nl_.pin_count());
   const std::size_t nc = static_cast<std::size_t>(nl_.cell_count());
 
+  view_.assign(nc, {});
+  in_cap_.assign(np, 0.0);
   clkbuf_.assign(nc, 0);
   for (CellId c = 0; c < nl_.cell_count(); ++c) {
-    const Cell& cc = nl_.cell(c);
-    if (!cc.is_comb()) continue;
-    for (PinId p : cc.pins) {
-      const Pin& pp = nl_.pin(p);
-      if (pp.net != kInvalidId && nl_.net(pp.net).is_clock) {
+    const CellKind kind = nl_.cell_kind(c);
+    view_[static_cast<std::size_t>(c)].kind = kind;
+    if (kind != CellKind::Comb) continue;
+    for (PinId p : nl_.pins_of(c)) {
+      const NetId n = nl_.pin(p).net;
+      if (n != kInvalidId && nl_.net_is_clock(n)) {
         clkbuf_[static_cast<std::size_t>(c)] = 1;
         break;
       }
@@ -207,7 +288,7 @@ void StaEngine::build_structure() {
   cell_in_off_.assign(nc + 1, 0);
   cell_out_off_.assign(nc + 1, 0);
   for (CellId c = 0; c < nl_.cell_count(); ++c)
-    for (PinId p : nl_.cell(c).pins) {
+    for (PinId p : nl_.pins_of(c)) {
       if (nl_.pin(p).dir == PinDir::Input)
         ++cell_in_off_[static_cast<std::size_t>(c) + 1];
       else
@@ -223,7 +304,7 @@ void StaEngine::build_structure() {
     std::vector<int> wi(cell_in_off_.begin(), cell_in_off_.end() - 1);
     std::vector<int> wo(cell_out_off_.begin(), cell_out_off_.end() - 1);
     for (CellId c = 0; c < nl_.cell_count(); ++c)
-      for (PinId p : nl_.cell(c).pins) {
+      for (PinId p : nl_.pins_of(c)) {
         if (nl_.pin(p).dir == PinDir::Input)
           cell_in_[static_cast<std::size_t>(
               wi[static_cast<std::size_t>(c)]++)] = p;
@@ -240,22 +321,21 @@ void StaEngine::build_structure() {
   std::vector<int> indeg(np, 0);
 
   for (NetId n = 0; n < nl_.net_count(); ++n) {
-    const auto& net = nl_.net(n);
-    if (net.is_clock || net.driver == kInvalidId) continue;
-    if (!part_[static_cast<std::size_t>(net.driver)]) continue;
+    const PinId driver = nl_.net_driver(n);
+    if (nl_.net_is_clock(n) || driver == kInvalidId) continue;
+    if (!part_[static_cast<std::size_t>(driver)]) continue;
     std::size_t i = 0;
     nl_.for_each_sink(n, [&](PinId s) {
       const std::size_t ord = i++;
       if (!part_[static_cast<std::size_t>(s)]) return;
       role_[static_cast<std::size_t>(s)] = Role::kNetSink;
-      drv_pin_[static_cast<std::size_t>(s)] = net.driver;
+      drv_pin_[static_cast<std::size_t>(s)] = driver;
       sink_ord_[static_cast<std::size_t>(s)] = static_cast<int>(ord);
       ++indeg[static_cast<std::size_t>(s)];
     });
   }
   for (CellId c = 0; c < nl_.cell_count(); ++c) {
-    const Cell& cc = nl_.cell(c);
-    if (!cc.is_comb() || clkbuf_[static_cast<std::size_t>(c)]) continue;
+    if (!data_comb(c)) continue;
     const int nin = cell_in_off_[static_cast<std::size_t>(c) + 1] -
                     cell_in_off_[static_cast<std::size_t>(c)];
     for (int k = cell_out_off_[static_cast<std::size_t>(c)];
@@ -278,13 +358,12 @@ void StaEngine::build_structure() {
   auto for_each_succ = [&](PinId u, auto&& fn) {
     const Pin& up = nl_.pin(u);
     if (up.dir == PinDir::Output) {
-      if (up.net == kInvalidId || nl_.net(up.net).is_clock) return;
+      if (up.net == kInvalidId || nl_.net_is_clock(up.net)) return;
       nl_.for_each_sink(up.net, [&](PinId s) {
         if (part_[static_cast<std::size_t>(s)]) fn(s);
       });
     } else {
-      const Cell& cc = nl_.cell(up.cell);
-      if (!cc.is_comb() || clkbuf_[static_cast<std::size_t>(up.cell)]) return;
+      if (!data_comb(up.cell)) return;
       const auto ci = static_cast<std::size_t>(up.cell);
       for (int k = cell_out_off_[ci]; k < cell_out_off_[ci + 1]; ++k)
         fn(cell_out_[static_cast<std::size_t>(k)]);
@@ -356,12 +435,27 @@ void StaEngine::build_structure() {
   int max_level = -1;
   for (PinId p = 0; p < nl_.pin_count(); ++p)
     max_level = std::max(max_level, level_[static_cast<std::size_t>(p)]);
-  levels_.assign(static_cast<std::size_t>(max_level + 1), {});
-  for (PinId p = 0; p < nl_.pin_count(); ++p)
-    if (level_[static_cast<std::size_t>(p)] >= 0)
-      levels_[static_cast<std::size_t>(level_[static_cast<std::size_t>(p)])]
-          .push_back(p);
-  // Pin ids were visited in ascending order, so each bucket is sorted.
+  const auto nlv = static_cast<std::size_t>(max_level + 1);
+  level_off_.assign(nlv + 1, 0);
+  for (const int lv : level_)
+    if (lv >= 0) ++level_off_[static_cast<std::size_t>(lv) + 1];
+  std::size_t max_width = 0;
+  for (std::size_t lv = 0; lv < nlv; ++lv) {
+    max_width = std::max(max_width,
+                         static_cast<std::size_t>(level_off_[lv + 1]));
+    level_off_[lv + 1] += level_off_[lv];
+  }
+  level_pins_.resize(static_cast<std::size_t>(level_off_[nlv]));
+  {
+    // Pin ids are visited in ascending order, so each level is sorted.
+    std::vector<int> w(level_off_.begin(), level_off_.end() - 1);
+    for (PinId p = 0; p < nl_.pin_count(); ++p) {
+      const int lv = level_[static_cast<std::size_t>(p)];
+      if (lv >= 0)
+        level_pins_[static_cast<std::size_t>(
+            w[static_cast<std::size_t>(lv)]++)] = p;
+    }
+  }
 
   // ---- endpoints ---------------------------------------------------------
   ep_index_.assign(np, -1);
@@ -369,7 +463,7 @@ void StaEngine::build_structure() {
     if (!part_[static_cast<std::size_t>(p)]) continue;
     const Pin& pp = nl_.pin(p);
     if (pp.dir != PinDir::Input) continue;
-    const CellKind k = nl_.cell(pp.cell).kind;
+    const CellKind k = nl_.cell_kind(pp.cell);
     if (k != CellKind::Seq && k != CellKind::Macro &&
         k != CellKind::PrimaryOut)
       continue;
@@ -392,24 +486,78 @@ void StaEngine::build_structure() {
   res_.lanes_ = K_;
   res_.corners_ = K_;
   net_arc_delay_.assign(np, 0.0);
-  cell_arc_.assign(np, {});
+  arc_off_.assign(np + 1, 0);
+  max_row_ = 0;
   for (CellId c = 0; c < nl_.cell_count(); ++c) {
-    const Cell& cc = nl_.cell(c);
-    if (!cc.is_comb() || clkbuf_[static_cast<std::size_t>(c)]) continue;
+    if (!data_comb(c)) continue;
     const auto ci = static_cast<std::size_t>(c);
-    const std::size_t nin =
-        static_cast<std::size_t>(cell_in_off_[ci + 1] - cell_in_off_[ci]);
-    for (int k = cell_out_off_[ci]; k < cell_out_off_[ci + 1]; ++k)
-      cell_arc_[static_cast<std::size_t>(cell_out_[static_cast<std::size_t>(k)])]
-          .assign(nin * 2, 0.0);
+    const int row = 2 * (cell_in_off_[ci + 1] - cell_in_off_[ci]);
+    max_row_ = std::max(max_row_, static_cast<std::size_t>(row));
+    for (int k = cell_out_off_[ci]; k < cell_out_off_[ci + 1]; ++k) {
+      const PinId o = cell_out_[static_cast<std::size_t>(k)];
+      arc_off_[static_cast<std::size_t>(o) + 1] = row;
+    }
   }
+  for (std::size_t i = 0; i < np; ++i) arc_off_[i + 1] += arc_off_[i];
+  arc_val_.assign(static_cast<std::size_t>(arc_off_[np]), 0.0);
   res_.setup_at_endpoint_.assign(np, 0.0);
   res_.design_ = &d_;
+
+  // ---- retime scratch ----------------------------------------------------
+  cell_seen_.reset(nc);
+  net_seen_.reset(static_cast<std::size_t>(nl_.net_count()));
+  fwd_queued_.reset(np);
+  bwd_queued_.reset(np);
+  fwd_wl_.resize(level_pins_.size());
+  bwd_wl_.resize(level_pins_.size());
+  fwd_cnt_.assign(nlv, 0);
+  bwd_cnt_.assign(nlv, 0);
+  redo_eps_.reserve(ep_pins_.size());
+  for (auto* v : {&eps_, &fresh_eps_, &merged_eps_})
+    v->reserve(ep_pins_.size());
+  const std::size_t slots =
+      pool_.size() > 1 ? std::max<std::size_t>(max_width, 1) : 1;
+  old_fwd_.assign(slots * fwd_words(), 0.0);
+  old_arcs_.assign(slots * max_row_, 0.0);
+  old_req_.assign(slots * 2 * K, 0.0);
+}
+
+void StaEngine::refresh_view(CellId c) {
+  CellView& v = view_[static_cast<std::size_t>(c)];
+  v.lc = v.kind == CellKind::Comb || v.kind == CellKind::Seq ? d_.lib_cell(c)
+                                                             : nullptr;
+  v.mc = v.kind == CellKind::Macro ? d_.macro(c) : nullptr;
+  // Design::pin_cap_ff's values, read off the views just resolved (ports
+  // keep asking the design for their pad load).
+  for (PinId p : nl_.pins_of(c)) {
+    const Pin& pp = nl_.pin(p);
+    double cap = 0.0;
+    if (pp.dir == PinDir::Input) {
+      if (v.lc != nullptr)
+        cap = pp.is_clock ? v.lc->clock_cap_ff : v.lc->input_cap_ff;
+      else if (v.mc != nullptr)
+        cap = v.mc->pin_cap_ff;
+      else
+        cap = d_.pin_cap_ff(p);
+    }
+    in_cap_[static_cast<std::size_t>(p)] = cap;
+  }
+}
+
+void StaEngine::refresh_views() {
+  const int nc = nl_.cell_count();
+  if (nc < kParallelLevelMin || pool_.size() <= 1) {
+    for (CellId c = 0; c < nc; ++c) refresh_view(c);
+  } else {
+    pool_.parallel_for(0, nc, [this](int c) { refresh_view(c); },
+                       kParallelViewGrain);
+  }
 }
 
 double StaEngine::net_load_ff(NetId n) const {
   double load = 0.0;
-  nl_.for_each_sink(n, [&](PinId s) { load += d_.pin_cap_ff(s); });
+  nl_.for_each_sink(
+      n, [&](PinId s) { load += in_cap_[static_cast<std::size_t>(s)]; });
   if (routes_ != nullptr)
     load += routes_->nets[static_cast<std::size_t>(n)].wire_cap_ff;
   return load;
@@ -423,14 +571,14 @@ void StaEngine::net_arc(PinId driver, int sink_ordinal, PinId sink,
   *via_miv = false;
   *wirelen = 0.0;
   if (routes_ == nullptr) return;
-  const Pin& dp = nl_.pin(driver);
-  const auto& nr = routes_->nets[static_cast<std::size_t>(dp.net)];
+  const auto& nr =
+      routes_->nets[static_cast<std::size_t>(nl_.pin(driver).net)];
   if (static_cast<std::size_t>(sink_ordinal) >= nr.sink_path_um.size()) return;
   const double len = nr.sink_path_um[static_cast<std::size_t>(sink_ordinal)];
   const bool crosses =
       nr.sink_crosses_tier[static_cast<std::size_t>(sink_ordinal)];
   const auto& wire = d_.lib(netlist::kBottomTier).wire();
-  const double sink_cap = d_.pin_cap_ff(sink);
+  const double sink_cap = in_cap_[static_cast<std::size_t>(sink)];
   double dly = wire.elmore_ns(len, sink_cap);
   if (crosses) {
     const auto& miv = d_.lib(netlist::kBottomTier).miv();
@@ -446,9 +594,9 @@ void StaEngine::net_arc(PinId driver, int sink_ordinal, PinId sink,
 
 double StaEngine::arc_derate(CellId cell, PinId in_pin) const {
   if (!opt_.boundary_derates || d_.num_tiers() < 2) return 1.0;
-  const Pin& pp = nl_.pin(in_pin);
-  if (pp.net == kInvalidId) return 1.0;
-  const PinId drv = nl_.net(pp.net).driver;
+  const NetId n = nl_.pin(in_pin).net;
+  if (n == kInvalidId) return 1.0;
+  const PinId drv = nl_.net_driver(n);
   if (drv == kInvalidId) return 1.0;
   const int tier_drv = d_.tier(nl_.pin(drv).cell);
   const int tier_cell = d_.tier(cell);
@@ -460,11 +608,11 @@ double StaEngine::arc_derate(CellId cell, PinId in_pin) const {
 
 void StaEngine::init_launch(PinId p) {
   const Pin& pp = nl_.pin(p);
-  const Cell& cc = nl_.cell(pp.cell);
+  const CellView& v = view_[static_cast<std::size_t>(pp.cell)];
   const double lat = opt_.ideal_clock ? 0.0 : d_.clock_latency(pp.cell);
   const std::size_t K = static_cast<std::size_t>(K_);
   const std::size_t pb = static_cast<std::size_t>(p) * K;
-  switch (cc.kind) {
+  switch (v.kind) {
     case CellKind::PrimaryIn:
       for (int t : {0, 1}) {
         // PI arrival/slew are external constraints (set_input_delay), not
@@ -477,16 +625,15 @@ void StaEngine::init_launch(PinId p) {
       }
       break;
     case CellKind::Seq: {
-      const tech::LibCell* lc = d_.lib_cell(pp.cell);
       const double load = pp.net == kInvalidId ? 0.0 : net_load_ff(pp.net);
       const double* fac = factors(pp.cell);
       for (int t : {0, 1}) {
-        const auto& arc = lc->arc(0);  // DFF arc 0 models CLK→Q
+        const auto& arc = v.lc->arc(0);  // DFF arc 0 models CLK→Q
         const double c2q = arc.delay[t].lookup(kClockPinSlew, load);
         for (std::size_t k = 0; k < K; ++k) {
-          const double v = lat + c2q * fac[k];
-          res_.arr_[t][pb + k] = v;
-          arr_min_[t][pb + k] = v;
+          const double val = lat + c2q * fac[k];
+          res_.arr_[t][pb + k] = val;
+          arr_min_[t][pb + k] = val;
         }
         res_.slew_[t][static_cast<std::size_t>(p)] =
             arc.out_slew[t].lookup(kClockPinSlew, load);
@@ -494,15 +641,14 @@ void StaEngine::init_launch(PinId p) {
       break;
     }
     case CellKind::Macro: {
-      const tech::MacroCell* mc = d_.macro(pp.cell);
       const double* fac = factors(pp.cell);
       for (int t : {0, 1}) {
         for (std::size_t k = 0; k < K; ++k) {
-          const double v = lat + mc->access_ns * fac[k];
-          res_.arr_[t][pb + k] = v;
-          arr_min_[t][pb + k] = v;
+          const double val = lat + v.mc->access_ns * fac[k];
+          res_.arr_[t][pb + k] = val;
+          arr_min_[t][pb + k] = val;
         }
-        res_.slew_[t][static_cast<std::size_t>(p)] = mc->out_slew_ns;
+        res_.slew_[t][static_cast<std::size_t>(p)] = v.mc->out_slew_ns;
       }
       break;
     }
@@ -511,18 +657,18 @@ void StaEngine::init_launch(PinId p) {
   }
 }
 
-void StaEngine::eval_cell_arc(CellId c, PinId in_pin, PinId out_pin,
-                              double load) {
-  const tech::LibCell* lc = d_.lib_cell(c);
+void StaEngine::eval_cell_arc(CellId c, const tech::LibCell& lc,
+                              const double* fac, PinId in_pin, PinId out_pin,
+                              double load, SlewWinner* win) {
   const Pin& ip = nl_.pin(in_pin);
-  const auto& arc = lc->arc(ip.index);
+  const auto& arc = lc.arc(ip.index);
   const double derate = arc_derate(c, in_pin);
-  const double* fac = factors(c);
   const std::size_t K = static_cast<std::size_t>(K_);
   const auto pi = static_cast<std::size_t>(in_pin);
   const auto po = static_cast<std::size_t>(out_pin);
   const std::size_t pib = pi * K;
   const std::size_t pob = po * K;
+  double* row = arc_val_.data() + arc_off_[po];
   for (int t : {0, 1}) {
     const int in_t = arc.inverting ? opp(t) : t;
     const double* ain = res_.arr_[in_t].data() + pib;
@@ -531,7 +677,7 @@ void StaEngine::eval_cell_arc(CellId c, PinId in_pin, PinId out_pin,
     if (ain[0] == kNegInf) continue;
     const double s_in = std::max(res_.slew_[in_t][pi], 1e-4);
     const double dly = arc.delay[t].lookup(s_in, load) * derate;
-    cell_arc_[po][static_cast<std::size_t>(ip.index * 2 + t)] = dly;
+    row[ip.index * 2 + t] = dly;
     double* arrt = res_.arr_[t].data() + pob;
     const double* amin_in = arr_min_[in_t].data() + pib;
     double* amin_out = arr_min_[t].data() + pob;
@@ -541,14 +687,15 @@ void StaEngine::eval_cell_arc(CellId c, PinId in_pin, PinId out_pin,
       if (cand > arrt[k]) {
         arrt[k] = cand;
         if (k == 0) {
-          res_.pred_[t][po] = {in_pin, in_t, dly, 0.0, false, false};
+          res_.pred_[t][po] = {in_pin, static_cast<std::uint8_t>(in_t),
+                                false, false, dly, 0.0};
           // Winner-slew propagation: the output edge is shaped by the
           // input that switches last. (Max-slew propagation would let one
           // slow side-input poison every downstream path — overly
           // pessimistic in the heterogeneous setting where slow-tier
           // fan-in is routine.) Slews are corner-shared, so the nominal
           // lane's winner decides the stored slew.
-          res_.slew_[t][po] = arc.out_slew[t].lookup(s_in, load) * derate;
+          win[t] = {&arc.out_slew[t], s_in, derate};
         }
       }
       // Min-delay (hold) propagation shares the same arc delays.
@@ -591,20 +738,29 @@ void StaEngine::compute_forward(PinId p) {
         if (arr_u[0] == kNegInf) continue;
         double* arr_p = res_.arr_[t].data() + pb;
         for (std::size_t k = 0; k < K; ++k) arr_p[k] = arr_u[k] + dly;
-        res_.pred_[t][pi] = {u, t, dly, wlen, true, via_miv};
+        res_.pred_[t][pi] = {u, static_cast<std::uint8_t>(t), true, via_miv,
+                              dly, wlen};
         res_.slew_[t][pi] = std::hypot(res_.slew_[t][ui], slew_add);
       }
       break;
     }
     case Role::kCombOut: {
-      auto& row = cell_arc_[pi];
-      std::fill(row.begin(), row.end(), 0.0);
+      std::fill(arc_val_.begin() + arc_off_[pi],
+                arc_val_.begin() + arc_off_[pi + 1], 0.0);
       const Pin& op = nl_.pin(p);
       const CellId c = op.cell;
       const double load = op.net == kInvalidId ? 0.0 : net_load_ff(op.net);
       const auto ci = static_cast<std::size_t>(c);
+      const tech::LibCell& lc = *view_[ci].lc;
+      const double* fac = factors(c);
+      SlewWinner win[2];
       for (int k = cell_in_off_[ci]; k < cell_in_off_[ci + 1]; ++k)
-        eval_cell_arc(c, cell_in_[static_cast<std::size_t>(k)], p, load);
+        eval_cell_arc(c, lc, fac, cell_in_[static_cast<std::size_t>(k)], p,
+                      load, win);
+      for (int t : {0, 1})
+        if (win[t].table != nullptr)
+          res_.slew_[t][pi] =
+              win[t].table->lookup(win[t].slew_in, load) * win[t].derate;
       break;
     }
     default:
@@ -615,18 +771,18 @@ void StaEngine::compute_forward(PinId p) {
 void StaEngine::eval_endpoint(PinId p) {
   const auto pi = static_cast<std::size_t>(p);
   const int ei = ep_index_[pi];
-  const Pin& pp = nl_.pin(p);
-  const Cell& cc = nl_.cell(pp.cell);
+  const CellId cell = nl_.pin(p).cell;
+  const CellView& v = view_[static_cast<std::size_t>(cell)];
   double setup = 0.0;
   double lat = 0.0;
   double hold_req = 0.0;
-  if (cc.kind == CellKind::Seq) {
-    setup = d_.lib_cell(pp.cell)->setup_ns;
-    hold_req = d_.lib_cell(pp.cell)->hold_ns;
-    lat = opt_.ideal_clock ? 0.0 : d_.clock_latency(pp.cell);
-  } else if (cc.kind == CellKind::Macro) {
-    setup = d_.macro(pp.cell)->setup_ns;
-    lat = opt_.ideal_clock ? 0.0 : d_.clock_latency(pp.cell);
+  if (v.kind == CellKind::Seq) {
+    setup = v.lc->setup_ns;
+    hold_req = v.lc->hold_ns;
+    lat = opt_.ideal_clock ? 0.0 : d_.clock_latency(cell);
+  } else if (v.kind == CellKind::Macro) {
+    setup = v.mc->setup_ns;
+    lat = opt_.ideal_clock ? 0.0 : d_.clock_latency(cell);
   } else {  // PrimaryOut
     setup = opt_.output_margin_ns;
     lat = port_latency_;
@@ -636,7 +792,7 @@ void StaEngine::eval_endpoint(PinId p) {
   const std::size_t eb = static_cast<std::size_t>(ei) * K;
   // Hold check (min-delay race): earliest arrival vs capture edge.
   std::fill_n(ep_hold_.data() + eb, K, kPosInf);
-  if (opt_.hold_analysis && cc.kind != CellKind::PrimaryOut) {
+  if (opt_.hold_analysis && v.kind != CellKind::PrimaryOut) {
     for (std::size_t k = 0; k < K; ++k) {
       double earliest = kPosInf;
       for (int t : {0, 1})
@@ -696,31 +852,28 @@ void StaEngine::compute_required(PinId p) {
         }
       }
     }
-  } else {
-    const Cell& cc = nl_.cell(pp.cell);
-    if (cc.is_comb() && !clkbuf_[static_cast<std::size_t>(pp.cell)]) {
-      // Gather through this cell's arcs: required at each output minus the
-      // stored forward arc delay (scaled by the lane's corner factor, the
-      // exact delay the forward pass added), with the inverting transition
-      // mapping. Arcs whose forward arrival was -inf keep their stored 0.0
-      // delay — deliberately matching the original engine's backward pass.
-      const tech::LibCell* lc = d_.lib_cell(pp.cell);
-      const auto& arc = lc->arc(pp.index);
-      const double* fac = factors(pp.cell);
-      const auto ci = static_cast<std::size_t>(pp.cell);
-      for (int s = cell_out_off_[ci]; s < cell_out_off_[ci + 1]; ++s) {
-        const auto oi =
-            static_cast<std::size_t>(cell_out_[static_cast<std::size_t>(s)]);
-        for (int t : {0, 1}) {
-          const double dly =
-              cell_arc_[oi][static_cast<std::size_t>(pp.index * 2 + t)];
-          const int in_t = arc.inverting ? opp(t) : t;
-          const double* reqo = res_.req_[t].data() + oi * K;
-          double* r = req[in_t];
-          for (std::size_t k = 0; k < K; ++k) {
-            if (reqo[k] == kPosInf) continue;
-            r[k] = std::min(r[k], reqo[k] - dly * fac[k]);
-          }
+  } else if (data_comb(pp.cell)) {
+    // Gather through this cell's arcs: required at each output minus the
+    // stored forward arc delay (scaled by the lane's corner factor, the
+    // exact delay the forward pass added), with the inverting transition
+    // mapping. Arcs whose forward arrival was -inf keep their stored 0.0
+    // delay — deliberately matching the original engine's backward pass.
+    const tech::LibCell* lc = view_[static_cast<std::size_t>(pp.cell)].lc;
+    const auto& arc = lc->arc(pp.index);
+    const double* fac = factors(pp.cell);
+    const auto ci = static_cast<std::size_t>(pp.cell);
+    for (int s = cell_out_off_[ci]; s < cell_out_off_[ci + 1]; ++s) {
+      const auto oi =
+          static_cast<std::size_t>(cell_out_[static_cast<std::size_t>(s)]);
+      const double* row = arc_val_.data() + arc_off_[oi];
+      for (int t : {0, 1}) {
+        const double dly = row[pp.index * 2 + t];
+        const int in_t = arc.inverting ? opp(t) : t;
+        const double* reqo = res_.req_[t].data() + oi * K;
+        double* r = req[in_t];
+        for (std::size_t k = 0; k < K; ++k) {
+          if (reqo[k] == kPosInf) continue;
+          r[k] = std::min(r[k], reqo[k] - dly * fac[k]);
         }
       }
     }
@@ -734,8 +887,8 @@ void StaEngine::compute_port_latency() {
     double sum = 0.0;
     int count = 0;
     for (CellId c = 0; c < nl_.cell_count(); ++c) {
-      const Cell& cc = nl_.cell(c);
-      if (!cc.is_sequential() && !cc.is_macro()) continue;
+      const CellKind k = view_[static_cast<std::size_t>(c)].kind;
+      if (k != CellKind::Seq && k != CellKind::Macro) continue;
       sum += d_.clock_latency(c);
       ++count;
     }
@@ -743,10 +896,11 @@ void StaEngine::compute_port_latency() {
   }
 }
 
-void StaEngine::run_level(const std::vector<PinId>& pins, bool forward) {
-  const int n = static_cast<int>(pins.size());
+void StaEngine::run_level(std::size_t lv, bool forward) {
+  const PinId* pins = level_pins_.data() + level_off_[lv];
+  const int n = level_off_[lv + 1] - level_off_[lv];
   auto kernel = [&](int i) {
-    const PinId p = pins[static_cast<std::size_t>(i)];
+    const PinId p = pins[i];
     if (forward)
       compute_forward(p);
     else
@@ -759,20 +913,41 @@ void StaEngine::run_level(const std::vector<PinId>& pins, bool forward) {
   }
 }
 
-void StaEngine::aggregate() {
+void StaEngine::aggregate(bool after_retime) {
   const std::size_t K = static_cast<std::size_t>(K_);
-  std::vector<std::pair<double, PinId>> eps;
-  eps.reserve(ep_pins_.size());
-  for (std::size_t i = 0; i < ep_pins_.size(); ++i)
-    if (ep_slack_[i * K] != kPosInf)
-      eps.emplace_back(ep_slack_[i * K], ep_pins_[i]);
-  std::sort(eps.begin(), eps.end());
+  if (!after_retime) {
+    eps_.clear();
+    for (std::size_t i = 0; i < ep_pins_.size(); ++i)
+      if (ep_slack_[i * K] != kPosInf)
+        eps_.emplace_back(ep_slack_[i * K], ep_pins_[i]);
+    std::sort(eps_.begin(), eps_.end());
+  } else {
+    // Drop the re-evaluated endpoints' old entries (every pin recomputed
+    // in this retime is still marked queued), sort their new ones and
+    // merge. (slack, pin) orders distinct pins totally, so the merge is
+    // exactly the full sort.
+    std::erase_if(eps_, [&](const std::pair<double, PinId>& e) {
+      return fwd_queued_.marked(e.second);
+    });
+    fresh_eps_.clear();
+    for (const PinId p : redo_eps_) {
+      const double s = ep_slack_[static_cast<std::size_t>(
+                                     ep_index_[static_cast<std::size_t>(p)]) *
+                                 K];
+      if (s != kPosInf) fresh_eps_.emplace_back(s, p);
+    }
+    std::sort(fresh_eps_.begin(), fresh_eps_.end());
+    merged_eps_.clear();
+    std::merge(eps_.begin(), eps_.end(), fresh_eps_.begin(), fresh_eps_.end(),
+               std::back_inserter(merged_eps_));
+    eps_.swap(merged_eps_);
+  }
   res_.endpoints_.clear();
   res_.endpoint_slack_.clear();
-  res_.wns_ = eps.empty() ? 0.0 : eps.front().first;
+  res_.wns_ = eps_.empty() ? 0.0 : eps_.front().first;
   res_.tns_ = 0.0;
   res_.violated_ = 0;
-  for (const auto& [slack, pin] : eps) {
+  for (const auto& [slack, pin] : eps_) {
     res_.endpoints_.push_back(pin);
     res_.endpoint_slack_.push_back(slack);
     if (slack < 0.0) {
@@ -826,24 +1001,28 @@ void StaEngine::aggregate() {
 }
 
 const StaResult& StaEngine::run() {
+  refresh_views();
   compute_port_latency();
   const bool tracing = util::trace_enabled();
+  const std::size_t nlv = level_off_.size() - 1;
   // One span around the whole K-lane sweep: forward + endpoints +
   // backward cover all corners in this single pass.
   std::optional<util::TraceSpan> sweep;
   if (tracing && K_ > 1)
     sweep.emplace("sta_corner_sweep",
                   nl_.name() + " K=" + std::to_string(K_));
+  auto level_detail = [&](const char* dir, std::size_t lv) {
+    return std::string(dir) + std::to_string(lv) + " n=" +
+           std::to_string(level_off_[lv + 1] - level_off_[lv]);
+  };
   {
     util::TraceSpan span("sta_forward", nl_.name());
-    for (std::size_t lv = 0; lv < levels_.size(); ++lv) {
+    for (std::size_t lv = 0; lv < nlv; ++lv) {
       if (tracing) {
-        util::TraceSpan level_span(
-            "sta_level", "fwd L" + std::to_string(lv) + " n=" +
-                             std::to_string(levels_[lv].size()));
-        run_level(levels_[lv], /*forward=*/true);
+        util::TraceSpan level_span("sta_level", level_detail("fwd L", lv));
+        run_level(lv, /*forward=*/true);
       } else {
-        run_level(levels_[lv], /*forward=*/true);
+        run_level(lv, /*forward=*/true);
       }
     }
   }
@@ -858,18 +1037,16 @@ const StaResult& StaEngine::run() {
   }
   {
     util::TraceSpan span("sta_backward", nl_.name());
-    for (std::size_t lv = levels_.size(); lv-- > 0;) {
+    for (std::size_t lv = nlv; lv-- > 0;) {
       if (tracing) {
-        util::TraceSpan level_span(
-            "sta_level", "bwd L" + std::to_string(lv) + " n=" +
-                             std::to_string(levels_[lv].size()));
-        run_level(levels_[lv], /*forward=*/false);
+        util::TraceSpan level_span("sta_level", level_detail("bwd L", lv));
+        run_level(lv, /*forward=*/false);
       } else {
-        run_level(levels_[lv], /*forward=*/false);
+        run_level(lv, /*forward=*/false);
       }
     }
   }
-  aggregate();
+  aggregate(/*after_retime=*/false);
   has_run_ = true;
   return res_;
 }
@@ -877,41 +1054,46 @@ const StaResult& StaEngine::run() {
 const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
   M3D_CHECK_MSG(has_run_, "Sta::retime() requires a prior run()");
   util::TraceSpan span("sta_retime",
-                       std::to_string(dirty.size()) + " dirty cells");
-  const std::size_t np = static_cast<std::size_t>(nl_.pin_count());
+                       util::trace_enabled()
+                           ? std::to_string(dirty.size()) + " dirty cells"
+                           : std::string());
+  for (auto* marks : {&cell_seen_, &net_seen_, &fwd_queued_, &bwd_queued_})
+    marks->next_epoch();
+  std::fill(fwd_cnt_.begin(), fwd_cnt_.end(), 0);
+  std::fill(bwd_cnt_.begin(), bwd_cnt_.end(), 0);
+  redo_eps_.clear();
 
   // ---- seed: pins whose *computation* changed ----------------------------
-  // A tier move of cell c changes: c's own pins (lib tables, pin caps,
-  // setup/hold, derates), the driver and every sink of each incident net
-  // (loads, re-estimated routes, per-sink crossing flags), and — because
-  // the boundary derate at a sink's input feeds its cell's output arcs —
-  // the output pins of every sink's combinational cell.
-  std::vector<char> fwd_pending(np, 0);
-  std::vector<std::vector<PinId>> wl(levels_.size());
+  // A tier move or drive change of cell c changes: c's own pins (lib
+  // tables, pin caps, setup/hold, derates), the driver and every sink of
+  // each incident net (loads, re-estimated routes, per-sink crossing
+  // flags), and — because the boundary derate at a sink's input feeds its
+  // cell's output arcs — the output pins of every sink's combinational
+  // cell. The dirty cells' library views are refreshed here, before any
+  // pin is recomputed.
   auto seed = [&](PinId p) {
     const auto pi = static_cast<std::size_t>(p);
-    if (!part_[pi] || fwd_pending[pi]) return;
-    fwd_pending[pi] = 1;
-    wl[static_cast<std::size_t>(level_[pi])].push_back(p);
+    if (!part_[pi] || fwd_queued_.marked(p)) return;
+    fwd_queued_.mark(p);
+    const auto lv = static_cast<std::size_t>(level_[pi]);
+    fwd_wl_[static_cast<std::size_t>(level_off_[lv] + fwd_cnt_[lv]++)] = p;
   };
-  std::vector<char> cell_seen(static_cast<std::size_t>(nl_.cell_count()), 0);
-  std::vector<char> net_seen(static_cast<std::size_t>(nl_.net_count()), 0);
   for (CellId c : dirty) {
-    if (cell_seen[static_cast<std::size_t>(c)]) continue;
-    cell_seen[static_cast<std::size_t>(c)] = 1;
-    for (PinId p : nl_.cell(c).pins) {
+    if (cell_seen_.marked(c)) continue;
+    cell_seen_.mark(c);
+    refresh_view(c);
+    for (PinId p : nl_.pins_of(c)) {
       seed(p);
       const NetId n = nl_.pin(p).net;
-      if (n == kInvalidId || nl_.net(n).is_clock) continue;
-      if (net_seen[static_cast<std::size_t>(n)]) continue;
-      net_seen[static_cast<std::size_t>(n)] = 1;
-      const auto& net = nl_.net(n);
-      if (net.driver != kInvalidId) seed(net.driver);
+      if (n == kInvalidId || nl_.net_is_clock(n)) continue;
+      if (net_seen_.marked(n)) continue;
+      net_seen_.mark(n);
+      const PinId drv = nl_.net_driver(n);
+      if (drv != kInvalidId) seed(drv);
       nl_.for_each_sink(n, [&](PinId s) {
         seed(s);
         const CellId sc = nl_.pin(s).cell;
-        const Cell& scc = nl_.cell(sc);
-        if (!scc.is_comb() || clkbuf_[static_cast<std::size_t>(sc)]) return;
+        if (!data_comb(sc)) return;
         const auto sci = static_cast<std::size_t>(sc);
         for (int k = cell_out_off_[sci]; k < cell_out_off_[sci + 1]; ++k)
           seed(cell_out_[static_cast<std::size_t>(k)]);
@@ -920,25 +1102,24 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
   }
 
   // ---- forward worklist by ascending level -------------------------------
-  std::vector<char> bwd_pending(np, 0);
-  std::vector<std::vector<PinId>> bwl(levels_.size());
   auto bwd_seed = [&](PinId p) {
     const auto pi = static_cast<std::size_t>(p);
-    if (!part_[pi] || bwd_pending[pi]) return;
-    bwd_pending[pi] = 1;
-    bwl[static_cast<std::size_t>(level_[pi])].push_back(p);
+    if (!part_[pi] || bwd_queued_.marked(p)) return;
+    bwd_queued_.mark(p);
+    const auto lv = static_cast<std::size_t>(level_[pi]);
+    bwd_wl_[static_cast<std::size_t>(level_off_[lv] + bwd_cnt_[lv]++)] = p;
   };
-  std::vector<PinId> redo_eps;
-  std::vector<double> old_row;
-  // Lane-aware old-value capture: a pin's forward state is 4 corner-lane
-  // blocks (arr rise/fall, arr_min rise/fall) plus the two corner-shared
-  // slews and the stored net-arc delay in the trailing slots. Change
-  // detection stays bitwise over every lane, so retime() remains
-  // bit-identical to run() for any K.
+  // Lane-aware old-value capture into slot `slot`: a pin's forward state
+  // is 4 corner-lane blocks (arr rise/fall, arr_min rise/fall) plus the
+  // two corner-shared slews and the stored net-arc delay, and a kCombOut
+  // pin's stored arc row. Change detection stays bitwise over every lane,
+  // so retime() remains bit-identical to run() for any K.
   const std::size_t K = static_cast<std::size_t>(K_);
-  const std::size_t fwd_words = 4 * K + 3;
-  auto capture_fwd = [&](std::size_t pi, double* dst) {
+  const std::size_t fw = fwd_words();
+  auto capture_and_compute = [&](PinId p, std::size_t slot) {
+    const auto pi = static_cast<std::size_t>(p);
     const std::size_t pb = pi * K;
+    double* dst = old_fwd_.data() + slot * fw;
     for (int t : {0, 1}) {
       std::copy_n(res_.arr_[t].data() + pb, K, dst);
       dst += K;
@@ -950,170 +1131,120 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
     dst[0] = res_.slew_[0][pi];
     dst[1] = res_.slew_[1][pi];
     dst[2] = net_arc_delay_[pi];
+    std::copy(arc_val_.begin() + arc_off_[pi], arc_val_.begin() + arc_off_[pi + 1],
+              old_arcs_.begin() + static_cast<std::ptrdiff_t>(slot * max_row_));
+    compute_forward(p);
   };
-  // Successors read arr/arr_min/slew; a bitwise compare over the lanes
-  // decides whether the change propagates.
-  auto fwd_changed_at = [&](std::size_t pi, const double* o) {
-    const std::size_t pb = pi * K;
-    for (int t : {0, 1}) {
-      if (!std::equal(o, o + K, res_.arr_[t].data() + pb)) return true;
-      o += K;
-    }
-    for (int t : {0, 1}) {
-      if (!std::equal(o, o + K, arr_min_[t].data() + pb)) return true;
-      o += K;
-    }
-    return o[0] != res_.slew_[0][pi] || o[1] != res_.slew_[1][pi];
-  };
-  // Batch-retime scratch: per-slot old-value capture for the parallel
-  // recompute of a large level bucket (ECO move batches dirty thousands
-  // of cones at once; their same-level pins are independent — the exact
-  // invariant run_level() already exploits in run()).
-  std::vector<double> olds;  // flat, fwd_words per slot
-  std::vector<std::vector<double>> old_rows;
-  std::vector<double> old_fwd(fwd_words);
-  const bool par_retime = pool_.size() > 1;
+  // Serial, in sorted bucket order: the bitwise compares and worklist
+  // seeding, so propagation decisions are the same at any pool size.
   int recomputed = 0;
-  for (std::size_t lv = 0; lv < wl.size(); ++lv) {
-    auto& bucket = wl[lv];
-    if (bucket.empty()) continue;
-    std::sort(bucket.begin(), bucket.end());
-    const int bn = static_cast<int>(bucket.size());
+  auto settle_forward = [&](PinId p, std::size_t slot) {
+    const auto pi = static_cast<std::size_t>(p);
+    const std::size_t pb = pi * K;
+    ++recomputed;
+    const double* o = old_fwd_.data() + slot * fw;
+    // Successors read arr/arr_min/slew; a bitwise compare over the lanes
+    // decides whether the change propagates.
+    const bool fwd_changed =
+        !std::equal(o, o + K, res_.arr_[0].data() + pb) ||
+        !std::equal(o + K, o + 2 * K, res_.arr_[1].data() + pb) ||
+        !std::equal(o + 2 * K, o + 3 * K, arr_min_[0].data() + pb) ||
+        !std::equal(o + 3 * K, o + 4 * K, arr_min_[1].data() + pb) ||
+        o[4 * K] != res_.slew_[0][pi] || o[4 * K + 1] != res_.slew_[1][pi];
+    if (fwd_changed)
+      for (int k = succ_off_[pi]; k < succ_off_[pi + 1]; ++k)
+        seed(succ_[static_cast<std::size_t>(k)]);
+    // The backward pass additionally reads the stored arc delays, which
+    // can change even when the forward values do not (a non-winning arc
+    // got faster): re-gather the predecessors' required times then.
+    const bool arcs_changed =
+        (role_[pi] == Role::kNetSink && o[fw - 1] != net_arc_delay_[pi]) ||
+        !std::equal(arc_val_.begin() + arc_off_[pi],
+                    arc_val_.begin() + arc_off_[pi + 1],
+                    old_arcs_.begin() + static_cast<std::ptrdiff_t>(slot * max_row_));
+    if (fwd_changed || arcs_changed) {
+      bwd_seed(p);
+      for (int k = preds_off_[pi]; k < preds_off_[pi + 1]; ++k)
+        bwd_seed(preds_[static_cast<std::size_t>(k)]);
+    }
+    if (ep_index_[pi] >= 0) redo_eps_.push_back(p);
+  };
+  const bool par_retime = pool_.size() > 1;
+  const std::size_t nlv = level_off_.size() - 1;
+  // A level's pins are independent (the invariant run_level() exploits),
+  // so a large bucket — ECO move batches dirty thousands of cones at once
+  // — is captured and recomputed in parallel, one slot per pin, before the
+  // serial settle.
+  for (std::size_t lv = 0; lv < nlv; ++lv) {
+    const int bn = fwd_cnt_[lv];
+    if (bn == 0) continue;
+    PinId* bucket = fwd_wl_.data() + level_off_[lv];
+    std::sort(bucket, bucket + bn);
     if (par_retime && bn >= kParallelLevelMin) {
-      // Phase 1 (parallel): capture each pin's old values into its own
-      // slot and recompute. Phase 2 (serial, sorted bucket order): the
-      // bitwise compares and worklist seeding, so propagation decisions
-      // happen in the exact serial order — results are bit-identical to
-      // the serial walk at any pool size.
-      olds.resize(static_cast<std::size_t>(bn) * fwd_words);
-      old_rows.resize(static_cast<std::size_t>(bn));
       pool_.parallel_for(
           0, bn,
           [&](int i) {
-            const auto ii = static_cast<std::size_t>(i);
-            const PinId p = bucket[ii];
-            const auto pi = static_cast<std::size_t>(p);
-            capture_fwd(pi, olds.data() + ii * fwd_words);
-            if (role_[pi] == Role::kCombOut)
-              old_rows[ii] = cell_arc_[pi];
-            else
-              old_rows[ii].clear();
-            compute_forward(p);
+            capture_and_compute(bucket[i], static_cast<std::size_t>(i));
           },
           kParallelGrain);
+      for (int i = 0; i < bn; ++i)
+        settle_forward(bucket[i], static_cast<std::size_t>(i));
+    } else {
       for (int i = 0; i < bn; ++i) {
-        const auto ii = static_cast<std::size_t>(i);
-        const PinId p = bucket[ii];
-        const auto pi = static_cast<std::size_t>(p);
-        ++recomputed;
-        const double* o = olds.data() + ii * fwd_words;
-        const bool comb_out = role_[pi] == Role::kCombOut;
-        const bool fwd_changed = fwd_changed_at(pi, o);
-        if (fwd_changed)
-          for (int k = succ_off_[pi]; k < succ_off_[pi + 1]; ++k)
-            seed(succ_[static_cast<std::size_t>(k)]);
-        const bool arcs_changed =
-            (role_[pi] == Role::kNetSink &&
-             o[fwd_words - 1] != net_arc_delay_[pi]) ||
-            (comb_out && old_rows[ii] != cell_arc_[pi]);
-        if (fwd_changed || arcs_changed) {
-          bwd_seed(p);
-          for (int k = preds_off_[pi]; k < preds_off_[pi + 1]; ++k)
-            bwd_seed(preds_[static_cast<std::size_t>(k)]);
-        }
-        if (ep_index_[pi] >= 0) redo_eps.push_back(p);
+        capture_and_compute(bucket[i], 0);
+        settle_forward(bucket[i], 0);
       }
-      continue;
-    }
-    for (const PinId p : bucket) {
-      const auto pi = static_cast<std::size_t>(p);
-      ++recomputed;
-      capture_fwd(pi, old_fwd.data());
-      const bool comb_out = role_[pi] == Role::kCombOut;
-      if (comb_out) old_row = cell_arc_[pi];
-
-      compute_forward(p);
-
-      const bool fwd_changed = fwd_changed_at(pi, old_fwd.data());
-      if (fwd_changed)
-        for (int k = succ_off_[pi]; k < succ_off_[pi + 1]; ++k)
-          seed(succ_[static_cast<std::size_t>(k)]);
-      // The backward pass additionally reads the stored arc delays, which
-      // can change even when the forward values do not (a non-winning arc
-      // got faster): re-gather the predecessors' required times then.
-      const bool arcs_changed =
-          (role_[pi] == Role::kNetSink &&
-           old_fwd[fwd_words - 1] != net_arc_delay_[pi]) ||
-          (comb_out && old_row != cell_arc_[pi]);
-      if (fwd_changed || arcs_changed) {
-        bwd_seed(p);
-        for (int k = preds_off_[pi]; k < preds_off_[pi + 1]; ++k)
-          bwd_seed(preds_[static_cast<std::size_t>(k)]);
-      }
-      if (ep_index_[pi] >= 0) redo_eps.push_back(p);
     }
   }
 
   // ---- endpoint constraints ----------------------------------------------
-  for (const PinId p : redo_eps) {
+  for (const PinId p : redo_eps_) {
     eval_endpoint(p);
     bwd_seed(p);  // required time may have changed (setup remap)
   }
 
   // ---- backward worklist by descending level -----------------------------
-  std::vector<double> old_reqs;  // flat, 2*K words per slot
-  std::vector<double> old_req2(2 * K);
-  auto capture_req = [&](std::size_t pi, double* dst) {
-    const std::size_t pb = pi * K;
+  auto capture_and_require = [&](PinId p, std::size_t slot) {
+    const std::size_t pb = static_cast<std::size_t>(p) * K;
+    double* dst = old_req_.data() + slot * 2 * K;
     std::copy_n(res_.req_[0].data() + pb, K, dst);
     std::copy_n(res_.req_[1].data() + pb, K, dst + K);
+    compute_required(p);
   };
-  auto req_changed_at = [&](std::size_t pi, const double* o) {
+  auto settle_backward = [&](PinId p, std::size_t slot) {
+    const auto pi = static_cast<std::size_t>(p);
     const std::size_t pb = pi * K;
-    return !std::equal(o, o + K, res_.req_[0].data() + pb) ||
-           !std::equal(o + K, o + 2 * K, res_.req_[1].data() + pb);
+    const double* o = old_req_.data() + slot * 2 * K;
+    if (!std::equal(o, o + K, res_.req_[0].data() + pb) ||
+        !std::equal(o + K, o + 2 * K, res_.req_[1].data() + pb))
+      for (int k = preds_off_[pi]; k < preds_off_[pi + 1]; ++k)
+        bwd_seed(preds_[static_cast<std::size_t>(k)]);
   };
-  for (std::size_t lv = bwl.size(); lv-- > 0;) {
-    auto& bucket = bwl[lv];
-    if (bucket.empty()) continue;
-    std::sort(bucket.begin(), bucket.end());
-    const int bn = static_cast<int>(bucket.size());
+  for (std::size_t lv = nlv; lv-- > 0;) {
+    const int bn = bwd_cnt_[lv];
+    if (bn == 0) continue;
+    PinId* bucket = bwd_wl_.data() + level_off_[lv];
+    std::sort(bucket, bucket + bn);
     if (par_retime && bn >= kParallelLevelMin) {
-      // Same batch shape as the forward pass: parallel recompute with
-      // per-slot old-value capture, serial seeding in sorted order.
-      old_reqs.resize(static_cast<std::size_t>(bn) * 2 * K);
       pool_.parallel_for(
           0, bn,
           [&](int i) {
-            const auto ii = static_cast<std::size_t>(i);
-            const PinId p = bucket[ii];
-            capture_req(static_cast<std::size_t>(p),
-                        old_reqs.data() + ii * 2 * K);
-            compute_required(p);
+            capture_and_require(bucket[i], static_cast<std::size_t>(i));
           },
           kParallelGrain);
+      for (int i = 0; i < bn; ++i)
+        settle_backward(bucket[i], static_cast<std::size_t>(i));
+    } else {
       for (int i = 0; i < bn; ++i) {
-        const auto ii = static_cast<std::size_t>(i);
-        const auto pi = static_cast<std::size_t>(bucket[ii]);
-        if (req_changed_at(pi, old_reqs.data() + ii * 2 * K))
-          for (int k = preds_off_[pi]; k < preds_off_[pi + 1]; ++k)
-            bwd_seed(preds_[static_cast<std::size_t>(k)]);
+        capture_and_require(bucket[i], 0);
+        settle_backward(bucket[i], 0);
       }
-      continue;
-    }
-    for (const PinId p : bucket) {
-      const auto pi = static_cast<std::size_t>(p);
-      capture_req(pi, old_req2.data());
-      compute_required(p);
-      if (req_changed_at(pi, old_req2.data()))
-        for (int k = preds_off_[pi]; k < preds_off_[pi + 1]; ++k)
-          bwd_seed(preds_[static_cast<std::size_t>(k)]);
     }
   }
 
   if (util::trace_enabled())
     util::trace_counter("sta_retime_pins", static_cast<double>(recomputed));
-  aggregate();
+  aggregate(/*after_retime=*/true);
   return res_;
 }
 
@@ -1159,6 +1290,12 @@ double StaResult::pin_arrival(PinId p) const {
   double worst = kNegInf;
   for (int t : {0, 1}) worst = std::max(worst, arr_[t][pi]);
   return worst;
+}
+
+double StaResult::pin_required(PinId p) const {
+  const auto pi =
+      static_cast<std::size_t>(p) * static_cast<std::size_t>(lanes_);
+  return std::min(req_[0][pi], req_[1][pi]);
 }
 
 double StaResult::pin_slew(PinId p) const {

@@ -21,6 +21,7 @@
 ///    underdriven ones (Table III), with opposite signs in the two
 ///    directions so long paths largely cancel.
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -128,6 +129,9 @@ class StaResult {
   /// Worst slack at one pin (min over rise/fall); +inf if unconstrained.
   double pin_slack(PinId p) const;
   double pin_arrival(PinId p) const;
+  /// Earliest required time at one pin (min over rise/fall); +inf if
+  /// unconstrained.
+  double pin_required(PinId p) const;
   double pin_slew(PinId p) const;
 
   /// Endpoints sorted by ascending slack (worst first).
@@ -177,11 +181,11 @@ class StaResult {
 
   struct Pred {
     PinId from = netlist::kInvalidId;
-    int from_trans = 0;
-    double delay = 0.0;
-    double wire_len = 0.0;
+    std::uint8_t from_trans = 0;
     bool is_net_arc = false;
     bool via_miv = false;
+    double delay = 0.0;
+    double wire_len = 0.0;
   };
 
   const Design* design_ = nullptr;
@@ -214,8 +218,11 @@ class StaResult {
 /// adjacency) once per design topology — the `sta_build` trace span;
 /// run() then propagates the whole graph level by level — in parallel
 /// across each level — and retime() re-propagates only the cone of a set
-/// of touched cells. Library views (cell tables, pin caps, setup/hold)
-/// are read from the design at propagation time, never cached.
+/// of touched cells. Library views (each cell's LibCell/MacroCell and its
+/// pins' input caps, which carry the cell tables and setup/hold) are
+/// cached per cell: run() refreshes every cell's view, retime(dirty) the
+/// views of the dirty cells. Every tier or drive change must therefore be
+/// followed by one of the two before the result is read.
 ///
 /// Invariants:
 ///  * run() and retime() produce bitwise-identical StaResults for any
@@ -227,10 +234,12 @@ class StaResult {
 ///    need `routes` patched in place via route::update_routes_for_cells
 ///    for the same cells, drive changes need no re-route (routes depend
 ///    only on positions and tiers);
-///  * the structure is only valid while the netlist topology, placement
-///    and clock latencies are unchanged — tier moves and drive changes
-///    are fine, anything else needs a new Sta (or a full run() for
-///    latency/period changes is NOT enough: rebuild instead).
+///  * run() also re-reads the clock period and every clock latency, so
+///    after a period change or a CTS re-annotation a run() on the same
+///    Sta equals a fresh run_sta(); retime() does not re-read them;
+///  * the structure is only valid while the netlist topology is
+///    unchanged (a netlist edit needs a new Sta), and `routes` must
+///    describe the current positions and tiers.
 ///
 /// Throws util::Error from the constructor when the combinational graph
 /// has a cycle (same check run_sta used to make).

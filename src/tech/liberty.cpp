@@ -382,14 +382,15 @@ TechLib parse_liberty(const std::string& text) {
   const Group top = p.parse_top();
   M3D_CHECK_MSG(!top.args.empty(), "library group has no name");
 
-  TechLib lib(top.args[0], static_cast<int>(top.num("m3d_tracks", 12)),
+  TechLib lib(top.args[0],
+              util::checked_int(top.num("m3d_tracks", 12), "m3d_tracks"),
               top.num("nom_voltage", 0.9), top.num("m3d_vthp", 0.32),
               top.num("m3d_row_height", 1.2));
   WireModel wire;
   wire.res_kohm_per_um = top.num("m3d_wire_res", wire.res_kohm_per_um);
   wire.cap_ff_per_um = top.num("m3d_wire_cap", wire.cap_ff_per_um);
-  wire.signal_layers =
-      static_cast<int>(top.num("m3d_wire_layers", wire.signal_layers));
+  wire.signal_layers = util::checked_int(
+      top.num("m3d_wire_layers", wire.signal_layers), "m3d_wire_layers");
   lib.set_wire(wire);
   MivModel miv;
   miv.res_kohm = top.num("m3d_miv_res", miv.res_kohm);
@@ -420,7 +421,8 @@ TechLib parse_liberty(const std::string& text) {
     LibCell c;
     c.name = cell.args[0];
     c.func = func_from_name(cell.attr("m3d_function", "INV"));
-    c.drive = static_cast<int>(cell.num("m3d_drive", 1));
+    c.drive = util::checked_int(cell.num("m3d_drive", 1), "m3d_drive", 0,
+                                TechLib::kMaxDrive);
     c.width_um = cell.num("m3d_width");
     c.leakage_uw = cell.num("cell_leakage_power");
     c.internal_energy_fj = cell.num("m3d_internal_energy");

@@ -1,31 +1,8 @@
 #include "tech/nldm.hpp"
 
-#include <algorithm>
-
-#include "util/check.hpp"
+#include <utility>
 
 namespace m3d::tech {
-
-namespace {
-/// Find the interpolation segment for x on a strictly increasing axis:
-/// returns i such that axis[i] and axis[i+1] bracket x (clamped to the end
-/// segments so extrapolation uses the edge slope).
-std::size_t segment(const std::vector<double>& axis, double x) {
-  if (axis.size() < 2) return 0;
-  // First element strictly greater than x.
-  auto it = std::upper_bound(axis.begin(), axis.end(), x);
-  std::size_t hi = static_cast<std::size_t>(it - axis.begin());
-  hi = std::clamp<std::size_t>(hi, 1, axis.size() - 1);
-  return hi - 1;
-}
-
-double frac(const std::vector<double>& axis, std::size_t i, double x) {
-  if (axis.size() < 2) return 0.0;
-  const double lo = axis[i];
-  const double hi = axis[i + 1];
-  return (x - lo) / (hi - lo);
-}
-}  // namespace
 
 NldmTable::NldmTable(std::vector<double> slew_axis,
                      std::vector<double> load_axis,
@@ -39,37 +16,6 @@ NldmTable::NldmTable(std::vector<double> slew_axis,
     M3D_CHECK(slew_axis_[i] > slew_axis_[i - 1]);
   for (std::size_t j = 1; j < load_axis_.size(); ++j)
     M3D_CHECK(load_axis_[j] > load_axis_[j - 1]);
-}
-
-double NldmTable::lookup(double slew_ns, double load_ff) const {
-  M3D_CHECK(!values_.empty());
-  if (slew_axis_.size() == 1 && load_axis_.size() == 1) return values_[0];
-
-  const std::size_t i = segment(slew_axis_, slew_ns);
-  const std::size_t j = segment(load_axis_, load_ff);
-  const double fs =
-      slew_axis_.size() < 2 ? 0.0 : frac(slew_axis_, i, slew_ns);
-  const double fl =
-      load_axis_.size() < 2 ? 0.0 : frac(load_axis_, j, load_ff);
-
-  if (slew_axis_.size() < 2) {
-    const double a = at(0, j);
-    const double b = at(0, std::min(j + 1, load_axis_.size() - 1));
-    return a + (b - a) * fl;
-  }
-  if (load_axis_.size() < 2) {
-    const double a = at(i, 0);
-    const double b = at(std::min(i + 1, slew_axis_.size() - 1), 0);
-    return a + (b - a) * fs;
-  }
-
-  const double v00 = at(i, j);
-  const double v01 = at(i, j + 1);
-  const double v10 = at(i + 1, j);
-  const double v11 = at(i + 1, j + 1);
-  const double lo = v00 + (v01 - v00) * fl;
-  const double hi = v10 + (v11 - v10) * fl;
-  return lo + (hi - lo) * fs;
 }
 
 bool NldmTable::in_range(double slew_ns, double load_ff) const {

@@ -3,6 +3,8 @@
 /// \brief Checked number parsing for the interchange-format readers.
 
 #include <charconv>
+#include <cmath>
+#include <limits>
 #include <string_view>
 #include <system_error>
 
@@ -27,6 +29,18 @@ T parse_number(std::string_view token, std::string_view what) {
                                ? " (out of range)"
                                : ""));
   return value;
+}
+
+/// Convert a parsed number to int. Throws util::Error naming `what` and
+/// the value when it is not finite, not integral or outside [lo, hi].
+inline int checked_int(double value, std::string_view what,
+                       int lo = std::numeric_limits<int>::min(),
+                       int hi = std::numeric_limits<int>::max()) {
+  M3D_CHECK_MSG(std::isfinite(value) && value == std::trunc(value) &&
+                    value >= lo && value <= hi,
+                "bad " << what << " " << value << " (want an integer in ["
+                       << lo << ", " << hi << "])");
+  return static_cast<int>(value);
 }
 
 }  // namespace m3d::util

@@ -133,6 +133,38 @@ TEST(Liberty, ParserRejectsBadNumbersAsErrors) {
   }
 }
 
+TEST(Liberty, ParserRejectsNonIntegralIntAttributes) {
+  // Integer attributes are parsed as numbers and then range-checked: a
+  // value past int range, non-finite or fractional is an error naming the
+  // attribute, never a silently wrapped cast.
+  const std::string good = mt::liberty_string(*mt::make_12track());
+  const char* bad_values[] = {"1e20", "-1e20", "nan", "inf", "2.5"};
+  for (const char* attr : {"m3d_tracks", "m3d_wire_layers", "m3d_drive"}) {
+    const std::string key = std::string(attr) + " : ";
+    const std::size_t at = good.find(key);
+    ASSERT_NE(at, std::string::npos) << attr;
+    const std::size_t end = good.find(';', at);
+    for (const char* v : bad_values) {
+      SCOPED_TRACE(std::string(attr) + " = " + v);
+      std::string text = good;
+      text.replace(at + key.size(), end - at - key.size(), v);
+      try {
+        mt::parse_liberty(text);
+        ADD_FAILURE() << "accepted";
+      } catch (const m3d::util::Error& e) {
+        EXPECT_NE(std::string(e.what()).find(attr), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // A drive outside [0, kMaxDrive] is rejected by the reader itself.
+  const std::size_t at = good.find("m3d_drive : ");
+  const std::size_t end = good.find(';', at);
+  std::string text = good;
+  text.replace(at, end - at, "m3d_drive : 1025");
+  EXPECT_THROW(mt::parse_liberty(text), m3d::util::Error);
+}
+
 TEST(Liberty, ParserIgnoresUnknownAttributes) {
   const std::string text =
       "library (mini) {\n"

@@ -399,7 +399,10 @@ TEST(Sta, HoldAnalysisCanBeDisabled) {
 
 // ---- incremental retime + parallel determinism ---------------------------
 
+#include <bit>
+#include <cstdint>
 #include <random>
+#include <string>
 
 #include "exec/pool.hpp"
 #include "gen/designs.hpp"
@@ -613,6 +616,122 @@ TEST(Sta, DriveChangesOnPersistentStaMatchFreshRun) {
       expect_identical(retimed, ref, d);
     }
   }
+}
+
+namespace {
+
+/// Bitwise comparison of what callers read off a result: the fingerprint,
+/// arrival, required time and slew at every pin, and the stage lists of
+/// the 20 worst paths.
+void expect_same_timing(const ms::StaResult& a, const ms::StaResult& b,
+                        const mn::Design& d) {
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  ASSERT_EQ(ms::timing_fingerprint(a), ms::timing_fingerprint(b));
+  for (mn::PinId p = 0; p < d.nl().pin_count(); ++p) {
+    ASSERT_EQ(bits(a.pin_arrival(p)), bits(b.pin_arrival(p))) << "pin " << p;
+    ASSERT_EQ(bits(a.pin_required(p)), bits(b.pin_required(p)))
+        << "pin " << p;
+    ASSERT_EQ(bits(a.pin_slew(p)), bits(b.pin_slew(p))) << "pin " << p;
+  }
+  const auto pa = a.worst_paths(20);
+  const auto pb = b.worst_paths(20);
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    ASSERT_EQ(pa[i].stages.size(), pb[i].stages.size()) << "path " << i;
+    for (std::size_t j = 0; j < pa[i].stages.size(); ++j) {
+      const ms::PathStage& x = pa[i].stages[j];
+      const ms::PathStage& y = pb[i].stages[j];
+      ASSERT_EQ(x.cell, y.cell) << "path " << i << " stage " << j;
+      ASSERT_EQ(x.in_pin, y.in_pin);
+      ASSERT_EQ(x.out_pin, y.out_pin);
+      ASSERT_EQ(x.tier, y.tier);
+      ASSERT_EQ(x.entered_through_miv, y.entered_through_miv);
+      ASSERT_EQ(bits(x.cell_delay_ns), bits(y.cell_delay_ns));
+      ASSERT_EQ(bits(x.wire_delay_ns), bits(y.wire_delay_ns));
+      ASSERT_EQ(bits(x.wire_length_um), bits(y.wire_length_um));
+    }
+  }
+}
+
+}  // namespace
+
+TEST(StaRetime, LibraryViewsFollowMixedTierAndDriveChanges) {
+  // The engine caches each cell's library view: run() refreshes every
+  // cell, retime(dirty) the dirty ones. Rounds of random tier moves
+  // (macros included) and drive changes on one persistent Sta must leave
+  // both paths bitwise equal to a fresh run_sta, for 1 and 4 corner lanes
+  // on pools of 1 and 4 workers.
+  const mn::Design base = routed_hetero("cpu", kWideScale, 0.8);
+  std::vector<mn::CellId> macros;
+  for (mn::CellId c = 0; c < base.nl().cell_count(); ++c)
+    if (base.nl().cell(c).is_macro()) macros.push_back(c);
+  ASSERT_FALSE(macros.empty());
+  const auto cells = movable_std_cells(base);
+
+  for (int lanes : {1, 4}) {
+    for (int workers : {1, 4}) {
+      SCOPED_TRACE("K=" + std::to_string(lanes) +
+                   " workers=" + std::to_string(workers));
+      mn::Design d = base;
+      auto routes = mr::route_design(d);
+      mex::Pool pool(workers);
+      ms::StaOptions o;
+      o.pool = &pool;
+      o.corners.count = lanes;
+      o.corners.sigma[0] = 0.03;
+      o.corners.sigma[1] = 0.08;
+      ms::Sta inc(d, &routes, o);
+      ms::Sta full(d, &routes, o);
+      inc.run();
+      full.run();
+
+      std::mt19937 rng(static_cast<unsigned>(17 * lanes + workers));
+      for (int round = 0; round < 4; ++round) {
+        std::vector<mn::CellId> dirty, moved;
+        const int n = 1 + static_cast<int>(rng() % 40);
+        for (int i = 0; i < n; ++i) {
+          const bool macro = rng() % 8 == 0;
+          const mn::CellId c = macro ? macros[rng() % macros.size()]
+                                     : cells[rng() % cells.size()];
+          if (macro || rng() % 2 == 0) {
+            d.set_tier(c, 1 - d.tier(c));
+            moved.push_back(c);
+          } else {
+            const auto& cc = d.nl().cell(c);
+            const auto& drives = d.lib_of(c).drives_for(cc.func);
+            d.nl().set_drive(c, drives[rng() % drives.size()]);
+          }
+          dirty.push_back(c);
+        }
+        mr::update_routes_for_cells(d, moved, &routes);
+        const ms::StaResult ref = ms::run_sta(d, &routes, o);
+        SCOPED_TRACE("round " + std::to_string(round));
+        expect_same_timing(inc.retime(dirty), ref, d);
+        expect_same_timing(full.run(), ref, d);
+      }
+    }
+  }
+}
+
+TEST(Sta, RunRereadsClockPeriodAndLatencies) {
+  // run() re-reads the clock period and every clock latency (launch,
+  // capture and the primary outputs' virtual clock), so a persistent Sta
+  // needs no rebuild after a period change or CTS re-annotation.
+  auto d = routed_hetero("cpu", kWideScale, 0.8);
+  const auto routes = mr::route_design(d);
+  ms::Sta sta(d, &routes);
+  const std::uint64_t before = ms::timing_fingerprint(sta.run());
+
+  std::mt19937 rng(5);
+  d.set_clock_period_ns(0.65);
+  for (mn::CellId c = 0; c < d.nl().cell_count(); ++c) {
+    const auto& cc = d.nl().cell(c);
+    if (cc.is_sequential() || cc.is_macro())
+      d.set_clock_latency(c, 0.001 * static_cast<double>(rng() % 50));
+  }
+  const ms::StaResult ref = ms::run_sta(d, &routes);
+  EXPECT_NE(ms::timing_fingerprint(ref), before);
+  expect_same_timing(sta.run(), ref, d);
 }
 
 // ---- corner-vectorized sweep ---------------------------------------------

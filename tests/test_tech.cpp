@@ -5,6 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "tech/library_factory.hpp"
 #include "tech/nldm.hpp"
@@ -56,6 +62,103 @@ TEST(Nldm, RejectsMalformedAxes) {
   EXPECT_THROW(mt::NldmTable({1.0, 0.5}, {0.0}, {1.0, 2.0}),
                m3d::util::Error);
   EXPECT_THROW(mt::NldmTable({0.0, 1.0}, {0.0}, {1.0}), m3d::util::Error);
+}
+
+namespace {
+
+/// The lookup as first written: std::upper_bound brackets each axis.
+/// lookup() must reproduce it bit for bit.
+double reference_lookup(const mt::NldmTable& t, double slew, double load) {
+  const auto& sa = t.slew_axis();
+  const auto& la = t.load_axis();
+  const auto& v = t.values();
+  auto segment = [](const std::vector<double>& axis, double x) {
+    if (axis.size() < 2) return std::size_t{0};
+    auto it = std::upper_bound(axis.begin(), axis.end(), x);
+    std::size_t hi = static_cast<std::size_t>(it - axis.begin());
+    hi = std::clamp<std::size_t>(hi, 1, axis.size() - 1);
+    return hi - 1;
+  };
+  auto frac = [](const std::vector<double>& axis, std::size_t i, double x) {
+    return (x - axis[i]) / (axis[i + 1] - axis[i]);
+  };
+  auto at = [&](std::size_t i, std::size_t j) { return v[i * la.size() + j]; };
+  if (sa.size() == 1 && la.size() == 1) return v[0];
+  const std::size_t i = segment(sa, slew);
+  const std::size_t j = segment(la, load);
+  const double fs = sa.size() < 2 ? 0.0 : frac(sa, i, slew);
+  const double fl = la.size() < 2 ? 0.0 : frac(la, j, load);
+  if (sa.size() < 2) {
+    const double a = at(0, j);
+    const double b = at(0, std::min(j + 1, la.size() - 1));
+    return a + (b - a) * fl;
+  }
+  if (la.size() < 2) {
+    const double a = at(i, 0);
+    const double b = at(std::min(i + 1, sa.size() - 1), 0);
+    return a + (b - a) * fs;
+  }
+  const double lo = at(i, j) + (at(i, j + 1) - at(i, j)) * fl;
+  const double hi = at(i + 1, j) + (at(i + 1, j + 1) - at(i + 1, j)) * fl;
+  return lo + (hi - lo) * fs;
+}
+
+/// Axis points, midpoints, points below and above the axis, and NaN.
+std::vector<double> probe_points(const std::vector<double>& axis) {
+  std::vector<double> xs(axis.begin(), axis.end());
+  for (std::size_t i = 0; i + 1 < axis.size(); ++i)
+    xs.push_back(0.5 * (axis[i] + axis[i + 1]));
+  const double span = axis.back() - axis.front() + 1.0;
+  xs.push_back(axis.front() - span);
+  xs.push_back(axis.front() - 1e-9);
+  xs.push_back(axis.back() + 1e-9);
+  xs.push_back(axis.back() + span);
+  xs.push_back(std::numeric_limits<double>::quiet_NaN());
+  return xs;
+}
+
+/// Number of probes where lookup() differs from the reference in bits
+/// (or, for NaN results, in NaN-ness).
+int lookup_mismatches(const mt::NldmTable& t) {
+  int bad = 0;
+  for (const double s : probe_points(t.slew_axis()))
+    for (const double l : probe_points(t.load_axis())) {
+      const double got = t.lookup(s, l);
+      const double want = reference_lookup(t, s, l);
+      if (std::isnan(want) ? !std::isnan(got)
+                           : std::bit_cast<std::uint64_t>(got) !=
+                                 std::bit_cast<std::uint64_t>(want))
+        ++bad;
+    }
+  return bad;
+}
+
+}  // namespace
+
+TEST(Nldm, LookupMatchesUpperBoundReferenceBitwise) {
+  int tables = 0;
+  for (const auto& lib : {mt::make_9track(), mt::make_12track()}) {
+    for (int ci = 0; ci < lib->cell_count(); ++ci) {
+      const mt::LibCell& c = lib->cell(ci);
+      for (std::size_t a = 0; a < c.arcs.size(); ++a)
+        for (int t = 0; t < 2; ++t) {
+          SCOPED_TRACE(c.name + " arc " + std::to_string(a) + " T" +
+                       std::to_string(t));
+          EXPECT_EQ(lookup_mismatches(c.arcs[a].delay[t]), 0);
+          EXPECT_EQ(lookup_mismatches(c.arcs[a].out_slew[t]), 0);
+          tables += 2;
+        }
+    }
+  }
+  EXPECT_GT(tables, 0);
+  // Degenerate axes take the one-dimensional branches.
+  EXPECT_EQ(lookup_mismatches(mt::NldmTable({0.1}, {1.0, 2.0, 4.0},
+                                            {1.0, 2.0, 5.0})),
+            0);
+  EXPECT_EQ(lookup_mismatches(mt::NldmTable({0.1, 0.2, 0.4}, {1.0},
+                                            {1.0, 3.0, 4.0})),
+            0);
+  EXPECT_EQ(lookup_mismatches(mt::NldmTable({0.1}, {1.0}, {7.0})), 0);
 }
 
 TEST(LibraryFactory, BuildsAllFunctionsAndDrives) {
